@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench-search bench-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke elastic-smoke churn-smoke serve-smoke hetero-smoke spot-smoke
+.PHONY: build test ci bench-search bench-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke churn-smoke serve-smoke hetero-smoke spot-smoke
 
 build:
 	$(GO) build ./...
@@ -10,32 +10,41 @@ test:
 
 # ci is the pre-merge gate: vet, the full suite, race-detector runs of
 # the packages that share caches across goroutines (the search workers
-# and the perfmodel stage cache), a fuzz smoke over every corpus-seeded
-# fuzz target, a one-iteration smoke of the search-throughput benchmark
-# so hot-path regressions fail loudly, the benchmark guard (explored
-# must match the committed BENCH_search.json exactly; ns/op and
-# allocs/op must stay within tolerance of it), a traced-search smoke
-# (the breakdown auditor fails the build on any resource-accounting
-# violation), a short chaos run — which also audits every trial's
-# estimates — the differential model-vs-simulator smoke (5k effects-off
-# tuples; any Eq.1/Eq.2 invariant violation fails the build and leaves
-# a shrunken repro JSON behind), and the elastic-runtime smoke
-# (checkpoint → kill → replan → reshard → resume must rejoin the
-# uninterrupted trajectory, plus randomized elastic chaos trials), the
-# continuous-churn smoke (a seeded multi-event schedule through
-# elastic.Supervise plus randomized churn chaos trials), and the
-# planning-daemon smoke (start acesod, one cold plan, one cache hit
-# that must replay identical bytes, an SSE stream, a /metrics scrape,
-# then a real SIGTERM drain), and the heterogeneous-planning smoke (the
-# mixed-fleet search must keep beating the re-priced class-blind plan
-# with its committed explored counts and plan fingerprint, and a
-# mixed-cluster diff slice must stay violation-free), and the spot
-# smoke (randomized spot preemption/notice chaos trials plus the
-# notice-drain e2e: window ≥ checkpoint cost must lose zero steps).
+# and the perfmodel stage cache), twenty repeated race runs of the memo
+# maps and the profiler database that sits on them (memo Len must
+# agree with its contents under any interleaving), a fuzz smoke over
+# every corpus-seeded fuzz target, a one-iteration smoke of the
+# search-throughput benchmark so hot-path regressions fail loudly, the
+# benchmark guard (explored must match the committed BENCH_search.json
+# exactly; ns/op and allocs/op must stay within tolerance of it), a
+# traced-search smoke (the breakdown auditor fails the build on any
+# resource-accounting violation), a short chaos run — which also
+# audits every trial's estimates — the differential model-vs-simulator
+# smoke (5k effects-off tuples; any Eq.1/Eq.2 invariant violation
+# fails the build and leaves a shrunken repro JSON behind), the
+# heterogeneous-planning smoke (the mixed-fleet search must keep
+# beating the re-priced class-blind plan with its committed explored
+# counts and plan fingerprint, and a mixed-cluster diff slice must stay
+# violation-free), the continuous-churn smoke (a seeded multi-event
+# schedule through elastic.Supervise plus randomized churn chaos
+# trials), the spot smoke (randomized spot preemption/notice chaos
+# trials plus the notice-drain e2e: window ≥ checkpoint cost must lose
+# zero steps), and the planning-daemon smoke (start acesod, one cold
+# plan, one cache hit that must replay identical bytes, an SSE stream,
+# a /metrics scrape, then a real SIGTERM drain).
+#
+# Single-fault recovery has no target of its own: Supervise is the one
+# recovery engine. The single-fault trajectory gate (checkpoint → kill
+# → replan → reshard → resume must rejoin the uninterrupted run within
+# 1e-9) runs in `go test ./internal/elastic`
+# (TestElasticTrainSurvivesFault), and the randomized single-fault
+# draws (random tensor-parallel split dimension and recomputation)
+# run inside churn-smoke's chaos trials (internal/chaos.RunChurn).
 ci: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core/... ./internal/perfmodel/... ./internal/memo/... ./internal/planserver/... ./internal/plancache/... ./internal/obs/... ./internal/hardware/... ./internal/collective/...
+	$(GO) test -race -count=20 ./internal/memo ./internal/profiler
 	$(GO) test -race -count=1 -run 'Notice|Spot|DoublePreempt' ./internal/elastic
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
@@ -44,7 +53,6 @@ ci: build
 	$(MAKE) chaos CHAOS_DURATION=10s
 	$(MAKE) diff-smoke
 	$(MAKE) hetero-smoke
-	$(MAKE) elastic-smoke
 	$(MAKE) churn-smoke
 	$(MAKE) spot-smoke
 	$(MAKE) serve-smoke
@@ -76,15 +84,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointLoadNeverPanics -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzChurnEventsNeverPanic -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzPreemptNoticeNeverPanics -fuzztime=5s ./internal/elastic
-
-# elastic-smoke runs the elastic-runtime benchmark + randomized elastic
-# chaos trials via cmd/acesobench: it fails the build if the recovered
-# run diverges from the uninterrupted trajectory or any trial panics,
-# deadlocks, loses steps or produces a non-finite loss. It writes
-# BENCH_elastic.json into /tmp to keep the tree clean.
-ELASTIC_TRIALS ?= 12
-elastic-smoke:
-	$(GO) run ./cmd/acesobench -elastic-trials $(ELASTIC_TRIALS) -elasticfile /tmp/aceso_ci_elastic.json elastic
 
 # churn-smoke runs the continuous-churn supervisor benchmark (a seeded
 # 22-event schedule of preemptions, re-additions, stragglers and link

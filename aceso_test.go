@@ -2,6 +2,7 @@ package aceso
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,33 @@ func TestNewPerfModelSharing(t *testing.T) {
 	}
 	if res.Best.Score <= 0 {
 		t.Error("search with shared model failed")
+	}
+}
+
+// TestSearchExploredPinnedAcrossGOMAXPROCS pins the search-throughput
+// setting (BenchmarkSearchThroughput, BENCH_search.json) to its
+// committed explored count at one worker and at the default: the
+// search is bit-identical whatever the parallelism.
+func TestSearchExploredPinnedAcrossGOMAXPROCS(t *testing.T) {
+	const want = 24701
+	g, err := GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := Search(g, DGX1V100(2), Options{
+			TimeBudget:    time.Hour, // never expires; MaxIterations bounds the run
+			MaxIterations: 4,
+			Seed:          1,
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Explored != want {
+			t.Errorf("GOMAXPROCS=%d: explored %d, want %d", procs, res.Explored, want)
+		}
 	}
 }
 

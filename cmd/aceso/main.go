@@ -286,16 +286,19 @@ func runElastic(args []string) error {
 		return err
 	}
 
-	var fault *runtime.FaultPlan
+	var spec elastic.ChurnSpec
 	if *faultRank >= 0 {
-		fault = &runtime.FaultPlan{Rank: *faultRank, Iteration: *faultIter}
+		if *faultIter < 0 || *faultIter >= *iters {
+			return fmt.Errorf("fault iteration %d out of range [0, %d)", *faultIter, *iters)
+		}
+		spec.Events = []elastic.ChurnEvent{{Iteration: *faultIter, Kind: elastic.Preempt, Device: *faultRank}}
 		fmt.Printf("elastic: device %d will die at the top of iteration %d\n", *faultRank, *faultIter)
 	}
 	p := runtime.InitParams(g, *seed)
 	p.Opt = runtime.Adam
-	rep, err := elastic.Train(context.Background(), g, cl, cfg, p, x, y, *iters, fault,
-		elastic.Options{LR: 0.05, CheckpointEvery: *ckptEvery, Seed: *seed,
-			SearchBudget: 300 * time.Millisecond})
+	rep, err := elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, *iters, spec,
+		elastic.SuperviseOptions{Options: elastic.Options{LR: 0.05, CheckpointEvery: *ckptEvery, Seed: *seed,
+			SearchBudget: 300 * time.Millisecond}})
 	if err != nil {
 		return err
 	}
@@ -304,9 +307,9 @@ func runElastic(args []string) error {
 	for i := range rep.Losses {
 		fmt.Printf("%-5d %-14.9f %-14.9f\n", i, refLosses[i], rep.Losses[i])
 	}
-	if rep.FaultsInjected > 0 {
+	if rep.FaultsDetected > 0 {
 		fmt.Printf("\nrecovered in %v: replanned %d→%d devices (%d stages, mbs %d), reshard moved %d bytes, %d checkpoints\n",
-			rep.Recovery.Round(time.Microsecond), cl.TotalDevices(), rep.Config.TotalDevices(),
+			rep.Recoveries[0].Round(time.Microsecond), cl.TotalDevices(), rep.Config.TotalDevices(),
 			rep.Config.NumStages(), rep.Config.MicroBatch, rep.ReshardBytesMoved, rep.Checkpoints)
 	} else {
 		fmt.Printf("\nno fault injected: %d checkpoints, final step %d\n", rep.Checkpoints, rep.FinalStep)

@@ -91,8 +91,29 @@ func RandomChurnSpec(rng *rand.Rand, devices, iters, maxEvents int) elastic.Chur
 	return spec
 }
 
+// churnShape is one randomly drawn trial topology.
+type churnShape struct {
+	stages, tp, dp int
+}
+
+// drawShape picks a valid (stages × tp × dp) decomposition for a graph
+// with ops operators and hidden width dim.
+func drawShape(rng *rand.Rand, ops, dim int) churnShape {
+	shapes := []churnShape{
+		{1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2},
+		{2, 2, 1}, {2, 1, 2}, {1, 2, 2}, {2, 2, 2},
+	}
+	for {
+		s := shapes[rng.Intn(len(shapes))]
+		if s.stages <= ops && dim%s.tp == 0 {
+			return s
+		}
+	}
+}
+
 // RunChurn hammers the churn supervisor end to end: every trial draws
-// a random model, a random valid plan, and a random churn schedule of
+// a random model, a random valid plan (tensor-parallel split dimension
+// and recomputation drawn per operator), and a random churn schedule of
 // mixed preemptions/re-additions/derates, runs it through
 // elastic.Supervise, and checks the invariants — no panic, no deadlock
 // (an escaped *comm.CollectiveTimeoutError means a rank hung until the
@@ -166,7 +187,13 @@ func ReplayChurnTrial(trial int, seed int64, rep *Report) (viol *Violation) {
 	}
 	for i := range cfg.Stages {
 		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: shape.tp, DP: shape.dp, Dim: 0}
+			cfg.Stages[i].Ops[j] = config.OpSetting{
+				TP: shape.tp, DP: shape.dp, Dim: rng.Intn(2),
+				Recompute: rng.Intn(4) == 0,
+			}
+			if g.Ops[cfg.Stages[i].Start+j].Kind != model.KindMatMul {
+				cfg.Stages[i].Ops[j].Dim = 0
+			}
 		}
 	}
 	if err := cfg.Validate(g, total); err != nil {

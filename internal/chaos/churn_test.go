@@ -3,6 +3,7 @@ package chaos
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"aceso/internal/elastic"
 )
@@ -25,6 +26,18 @@ func TestRunChurnClean(t *testing.T) {
 	}
 	if rep.Plans == 0 {
 		t.Fatal("no trial survived a full churn schedule")
+	}
+}
+
+// TestRunChurnDurationBound: a duration-bounded run stops on time.
+func TestRunChurnDurationBound(t *testing.T) {
+	start := time.Now()
+	rep := RunChurn(Options{Trials: 0, Duration: 2 * time.Second, Seed: 1})
+	if rep.Trials == 0 {
+		t.Fatal("no trials ran inside the duration bound")
+	}
+	if time.Since(start) > 90*time.Second {
+		t.Fatalf("duration-bounded run overran: %v", time.Since(start))
 	}
 }
 

@@ -1,9 +1,10 @@
-// Continuous-churn supervision: where Train recovers from a single
-// planned fault, Supervise rides an arbitrary stream of fleet events —
-// preemptions, re-additions, stragglers, fabric derates — the
-// operating reality of spot/preemptible capacity. The supervisor owns
-// the *policy* layer the one-shot path did not need: backoff for
-// transient timeouts, hysteresis before paying for a replan search, a
+// Continuous-churn supervision: Supervise is the one recovery engine.
+// It rides an arbitrary stream of fleet events — preemptions,
+// re-additions, stragglers, fabric derates — the operating reality of
+// spot/preemptible capacity; a single planned fault is just a
+// one-event schedule. Beyond the checkpoint → replan → reshard →
+// resume loop it owns the *policy* layer: backoff for transient
+// timeouts, hysteresis before paying for a replan search, a
 // checkpoint cadence that adapts to the observed fault rate, and a
 // graceful-degradation ladder (project → warm replan → shrink → pause)
 // when capacity drops. Every decision is emitted as a typed Transition
@@ -23,7 +24,6 @@ import (
 	"aceso/internal/core"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
-	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 	"aceso/internal/runtime"
 	"aceso/internal/tensor"
@@ -194,7 +194,8 @@ func (e *NoticeMissedError) Error() string {
 }
 
 // SuperviseOptions tunes the churn supervisor. The embedded Options
-// are shared with Train; CheckpointEvery seeds the adaptive cadence.
+// configure the recovery loop; CheckpointEvery seeds the adaptive
+// cadence.
 type SuperviseOptions struct {
 	Options
 
@@ -239,7 +240,12 @@ type SuperviseOptions struct {
 
 // ChurnReport is the outcome of a supervised run.
 type ChurnReport struct {
-	// Losses, Steps, Params, Config, FinalStep mirror Report.
+	// Losses holds one loss per completed iteration, stitched across
+	// every rollback. Steps records the optimizer step counter after
+	// every successful segment (strictly monotone). Params and Config
+	// are the training state and plan at exit — on a fault the
+	// caller's params object is torn, and the recovered state lives
+	// here. FinalStep is Params.Step at exit.
 	Losses    []float64
 	Steps     []int
 	Params    *runtime.Params
@@ -253,7 +259,9 @@ type ChurnReport struct {
 	// FaultsDetected counts in-plan device losses surfaced by the
 	// runtime (a subset of the preempt events).
 	FaultsDetected int
-	// Checkpoints/Reshards/ReshardBytesMoved mirror Report.
+	// Checkpoints, Reshards and ReshardBytesMoved count the lineage:
+	// durable checkpoints taken, plan-to-plan reshards, and the
+	// physical bytes those reshards moved between devices.
 	Checkpoints       int
 	Reshards          int
 	ReshardBytesMoved int64
@@ -318,138 +326,6 @@ func (r *ChurnReport) RecoveryPercentile(q float64) time.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// churnMeters extends the elastic meters with churn-policy counters;
-// nil disables metering at zero overhead.
-type churnMeters struct {
-	*meters
-	reg            *obs.Registry
-	faults         *obs.Counter
-	replans        *obs.Counter
-	replansAvoided *obs.Counter
-	retries        *obs.Counter
-	pauses         *obs.Counter
-	stepsLost      *obs.Counter
-	recovery       *obs.Timer
-	notices        *obs.Counter
-	cleanDrains    *obs.Counter
-	noticesMissed  *obs.Counter
-	prewarms       *obs.Counter
-}
-
-func newChurnMeters(reg *obs.Registry) *churnMeters {
-	if reg == nil {
-		return nil
-	}
-	return &churnMeters{
-		meters:         newMeters(reg),
-		reg:            reg,
-		faults:         reg.Counter(obs.ChurnFaultsTotal),
-		replans:        reg.Counter(obs.ChurnReplansTotal),
-		replansAvoided: reg.Counter(obs.ChurnReplansAvoidedTotal),
-		retries:        reg.Counter(obs.ChurnBackoffRetriesTotal),
-		pauses:         reg.Counter(obs.ChurnPausesTotal),
-		stepsLost:      reg.Counter(obs.ChurnStepsLostTotal),
-		recovery:       reg.Timer(obs.ChurnRecovery),
-		notices:        reg.Counter(obs.SpotNoticesTotal),
-		cleanDrains:    reg.Counter(obs.SpotCleanDrainsTotal),
-		noticesMissed:  reg.Counter(obs.SpotNoticesMissedTotal),
-		prewarms:       reg.Counter(obs.SpotPrewarmReplansTotal),
-	}
-}
-
-func (m *churnMeters) event(k ChurnKind) {
-	if m != nil {
-		m.reg.Counter(obs.ChurnEventsTotal + `{kind="` + k.String() + `"}`).Inc()
-	}
-}
-
-func (m *churnMeters) ladderCommit(rung string) {
-	if m != nil {
-		m.reg.Counter(obs.ChurnLadderTotal + `{rung="` + rung + `"}`).Inc()
-	}
-}
-
-func (m *churnMeters) transition(k TransitionKind) {
-	if m != nil {
-		m.reg.Counter(obs.ChurnTransitionsTotal + `{kind="` + string(k) + `"}`).Inc()
-	}
-}
-
-func (m *churnMeters) churnFault() {
-	if m != nil {
-		m.faults.Inc()
-	}
-}
-
-func (m *churnMeters) replan() {
-	if m != nil {
-		m.replans.Inc()
-	}
-}
-
-func (m *churnMeters) replanAvoided() {
-	if m != nil {
-		m.replansAvoided.Inc()
-	}
-}
-
-func (m *churnMeters) retry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m *churnMeters) pause() {
-	if m != nil {
-		m.pauses.Inc()
-	}
-}
-
-func (m *churnMeters) lost(n int) {
-	if m != nil {
-		m.stepsLost.Add(int64(n))
-	}
-}
-
-func (m *churnMeters) notice() {
-	if m != nil {
-		m.notices.Inc()
-	}
-}
-
-func (m *churnMeters) cleanDrain() {
-	if m != nil {
-		m.cleanDrains.Inc()
-	}
-}
-
-func (m *churnMeters) noticeMissed() {
-	if m != nil {
-		m.noticesMissed.Inc()
-	}
-}
-
-func (m *churnMeters) prewarm() {
-	if m != nil {
-		m.prewarms.Inc()
-	}
-}
-
-func (m *churnMeters) recovered(d time.Duration) {
-	if m != nil {
-		m.recovery.Observe(d)
-		m.meters.recovered(d)
-	}
-}
-
-// base returns the embedded elastic meters (nil-safe).
-func (m *churnMeters) base() *meters {
-	if m == nil {
-		return nil
-	}
-	return m.meters
 }
 
 // fleet is the supervisor's composed view of fleet health, kept in
@@ -521,9 +397,10 @@ func physMap(c hardware.Cluster) func(int) int {
 	return func(l int) int { return c.PhysOf(l) }
 }
 
-// runnableOn is runnable() for clusters the candidate need not fill
-// exactly: a shrunken plan validates against its own device count and
-// merely has to fit within the survivors.
+// runnableOn checks a candidate against both the config validator and
+// the runtime's executability preflight. The candidate need not fill
+// cl exactly: a shrunken plan validates against its own device count
+// and merely has to fit within the survivors.
 func runnableOn(g *model.Graph, cl *hardware.Cluster, c *config.Config, p *runtime.Params) bool {
 	if c == nil || c.TotalDevices() > cl.TotalDevices() {
 		return false
@@ -620,7 +497,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 		opt.CheckpointCost = 0
 	}
 
-	m := newChurnMeters(opt.Metrics)
+	m := newMeters(opt.Metrics)
 	rep := &ChurnReport{
 		Params: p, Config: cfg,
 		EventCounts: map[string]int{},
@@ -673,7 +550,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 			return err
 		}
 		ckpt, ckptAt = st, active
-		m.base().checkpoint()
+		m.checkpoint()
 		rep.Checkpoints++
 		return nil
 	}
@@ -716,7 +593,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 			return err
 		}
 		bytes := BytesMoved(st, resharded, physMap(ckptAt), physMap(active))
-		m.base().reshard(bytes)
+		m.reshard(bytes)
 		rep.Reshards++
 		rep.ReshardBytesMoved += bytes
 		newP, err := AssembleState(resharded)
@@ -724,7 +601,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 			return err
 		}
 		newP.Arch = arch
-		m.base().restore()
+		m.restore()
 		cur, curP = next, newP
 		rep.Config, rep.Params = cur, curP
 		done = st.Step - stepZero
@@ -1340,7 +1217,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 			rep.EventCounts[ev.Kind.String()]++
 			m.event(ev.Kind)
 			rep.FaultsDetected++
-			m.churnFault()
+			m.fault()
 			wasted := lostErr.Iteration
 			rep.IterationsExecuted += wasted
 			rep.StepsLost += wasted
@@ -1424,7 +1301,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 				return rep, aerr
 			}
 			restored.Arch = curP.Arch
-			m.base().restore()
+			m.restore()
 			curP = restored
 			rep.Params = curP
 			done = st.Step - stepZero

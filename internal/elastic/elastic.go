@@ -1,9 +1,6 @@
 package elastic
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"path/filepath"
 	"time"
 
@@ -13,16 +10,18 @@ import (
 	"aceso/internal/model"
 	"aceso/internal/obs"
 	"aceso/internal/runtime"
-	"aceso/internal/tensor"
 )
 
-// Options tunes the elastic training driver.
+// Options tunes the recovery loop every Supervise run shares:
+// checkpoint → replan → reshard → resume. SuperviseOptions embeds it
+// and adds the churn policies.
 type Options struct {
 	// LR is the learning rate passed through to the runtime.
 	LR float64
 	// CheckpointEvery is the segment length in iterations: training
 	// runs in segments of this many iterations with a checkpoint at
-	// every boundary (default 1 — checkpoint each iteration).
+	// every boundary (default 1 — checkpoint each iteration). It seeds
+	// Supervise's adaptive cadence.
 	CheckpointEvery int
 	// Dir, when non-empty, persists each checkpoint to
 	// Dir/aceso.ckpt via the atomic Save path and recovers through
@@ -33,55 +32,35 @@ type Options struct {
 	// (default 30s); it is what turns a missing rank into a typed
 	// error instead of a hung World.
 	CommDeadline time.Duration
-	// SearchBudget bounds the Replan search after a fault
-	// (default 200ms).
+	// SearchBudget bounds each Replan search (default 200ms).
 	SearchBudget time.Duration
 	// Seed drives the replan search.
 	Seed int64
-	// Metrics, when non-nil, receives aceso_elastic_* counters and the
-	// recovery timer. Nil disables metering at zero overhead.
+	// Metrics, when non-nil, receives the aceso_elastic_* checkpoint
+	// lineage counters and the aceso_churn_* / aceso_spot_* policy
+	// meters. Nil disables metering at zero overhead.
 	Metrics *obs.Registry
-}
-
-// Report is the outcome of an elastic training run.
-type Report struct {
-	// Losses holds one loss per completed iteration, stitched across
-	// the fault: pre-fault segments up to the last checkpoint, then
-	// the resumed trajectory.
-	Losses []float64
-	// Steps records the optimizer step counter after every successful
-	// segment — the chaos harness asserts it is strictly monotone.
-	Steps []int
-	// Params is the final training state. On a fault the caller's
-	// params object is torn (stages stopped mid-iteration at different
-	// points, like a crashed fleet); the recovered state lives here.
-	Params *runtime.Params
-	// Config is the plan training ended on (the replanned config when
-	// a fault fired, the original otherwise).
-	Config *config.Config
-	// FinalStep is Params.Step at exit.
-	FinalStep int
-	// FaultsInjected / Checkpoints / Reshards count recovery events.
-	FaultsInjected int
-	Checkpoints    int
-	Reshards       int
-	// Recovery is the wall time from fault detection to resumed
-	// training (replan + reshard + restore).
-	Recovery time.Duration
-	// ReshardBytesMoved is the physical data movement the reshard
-	// implied (shard overlap that changed devices).
-	ReshardBytesMoved int64
 }
 
 // meters holds pre-resolved metric handles; a nil *meters disables
 // metering (the nil-guarded zero-overhead-off pattern).
 type meters struct {
-	faults      *obs.Counter
-	checkpoints *obs.Counter
-	restores    *obs.Counter
-	reshards    *obs.Counter
-	bytesMoved  *obs.Counter
-	recovery    *obs.Timer
+	reg            *obs.Registry
+	checkpoints    *obs.Counter
+	restores       *obs.Counter
+	reshards       *obs.Counter
+	bytesMoved     *obs.Counter
+	faults         *obs.Counter
+	replans        *obs.Counter
+	replansAvoided *obs.Counter
+	retries        *obs.Counter
+	pauses         *obs.Counter
+	stepsLost      *obs.Counter
+	recovery       *obs.Timer
+	notices        *obs.Counter
+	cleanDrains    *obs.Counter
+	noticesMissed  *obs.Counter
+	prewarms       *obs.Counter
 }
 
 func newMeters(reg *obs.Registry) *meters {
@@ -89,18 +68,22 @@ func newMeters(reg *obs.Registry) *meters {
 		return nil
 	}
 	return &meters{
-		faults:      reg.Counter(obs.ElasticFaultsInjectedTotal),
-		checkpoints: reg.Counter(obs.ElasticCheckpointsTotal),
-		restores:    reg.Counter(obs.ElasticRestoresTotal),
-		reshards:    reg.Counter(obs.ElasticReshardsTotal),
-		bytesMoved:  reg.Counter(obs.ElasticReshardBytesMovedTotal),
-		recovery:    reg.Timer(obs.ElasticRecovery),
-	}
-}
-
-func (m *meters) fault() {
-	if m != nil {
-		m.faults.Inc()
+		reg:            reg,
+		checkpoints:    reg.Counter(obs.ElasticCheckpointsTotal),
+		restores:       reg.Counter(obs.ElasticRestoresTotal),
+		reshards:       reg.Counter(obs.ElasticReshardsTotal),
+		bytesMoved:     reg.Counter(obs.ElasticReshardBytesMovedTotal),
+		faults:         reg.Counter(obs.ChurnFaultsTotal),
+		replans:        reg.Counter(obs.ChurnReplansTotal),
+		replansAvoided: reg.Counter(obs.ChurnReplansAvoidedTotal),
+		retries:        reg.Counter(obs.ChurnBackoffRetriesTotal),
+		pauses:         reg.Counter(obs.ChurnPausesTotal),
+		stepsLost:      reg.Counter(obs.ChurnStepsLostTotal),
+		recovery:       reg.Timer(obs.ChurnRecovery),
+		notices:        reg.Counter(obs.SpotNoticesTotal),
+		cleanDrains:    reg.Counter(obs.SpotCleanDrainsTotal),
+		noticesMissed:  reg.Counter(obs.SpotNoticesMissedTotal),
+		prewarms:       reg.Counter(obs.SpotPrewarmReplansTotal),
 	}
 }
 
@@ -123,210 +106,101 @@ func (m *meters) reshard(bytes int64) {
 	}
 }
 
+func (m *meters) event(k ChurnKind) {
+	if m != nil {
+		m.reg.Counter(obs.ChurnEventsTotal + `{kind="` + k.String() + `"}`).Inc()
+	}
+}
+
+func (m *meters) ladderCommit(rung string) {
+	if m != nil {
+		m.reg.Counter(obs.ChurnLadderTotal + `{rung="` + rung + `"}`).Inc()
+	}
+}
+
+func (m *meters) transition(k TransitionKind) {
+	if m != nil {
+		m.reg.Counter(obs.ChurnTransitionsTotal + `{kind="` + string(k) + `"}`).Inc()
+	}
+}
+
+func (m *meters) fault() {
+	if m != nil {
+		m.faults.Inc()
+	}
+}
+
+func (m *meters) replan() {
+	if m != nil {
+		m.replans.Inc()
+	}
+}
+
+func (m *meters) replanAvoided() {
+	if m != nil {
+		m.replansAvoided.Inc()
+	}
+}
+
+func (m *meters) retry() {
+	if m != nil {
+		m.retries.Inc()
+	}
+}
+
+func (m *meters) pause() {
+	if m != nil {
+		m.pauses.Inc()
+	}
+}
+
+func (m *meters) lost(n int) {
+	if m != nil {
+		m.stepsLost.Add(int64(n))
+	}
+}
+
+func (m *meters) notice() {
+	if m != nil {
+		m.notices.Inc()
+	}
+}
+
+func (m *meters) cleanDrain() {
+	if m != nil {
+		m.cleanDrains.Inc()
+	}
+}
+
+func (m *meters) noticeMissed() {
+	if m != nil {
+		m.noticesMissed.Inc()
+	}
+}
+
+func (m *meters) prewarm() {
+	if m != nil {
+		m.prewarms.Inc()
+	}
+}
+
 func (m *meters) recovered(d time.Duration) {
 	if m != nil {
 		m.recovery.Observe(d)
 	}
 }
 
-// Train runs iters iterations of elastic training: segments of
-// Options.CheckpointEvery iterations with a checkpoint at every
-// boundary. When fault is non-nil the runtime kills device fault.Rank
-// at the top of iteration fault.Iteration (0-based, absolute within
-// this run); Train then closes the recovery loop — mark the device
-// dead in a hardware.FaultSpec, core.Replan on the degraded cluster,
-// reshard the last checkpoint onto the best runnable candidate, and
-// resume until all iters are done. One fault per run is supported: the
-// healthy cluster degrades once, and the checkpoint lineage stays
-// linear.
-//
-// Because checkpoint/reshard are exact and every valid config is
-// semantic-preserving, the recovered run re-joins the uninterrupted
-// trajectory: the stitched loss curve matches a fault-free run on the
-// original config to floating-point tolerance.
-func Train(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *config.Config, p *runtime.Params, x, y *tensor.Mat, iters int, fault *runtime.FaultPlan, opt Options) (*Report, error) {
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 1
-	}
-	if opt.CommDeadline <= 0 {
-		opt.CommDeadline = 30 * time.Second
-	}
-	if opt.SearchBudget <= 0 {
-		opt.SearchBudget = 200 * time.Millisecond
-	}
-	if fault != nil && (fault.Iteration < 0 || fault.Iteration >= iters) {
-		return nil, fmt.Errorf("elastic: fault iteration %d out of range [0, %d)", fault.Iteration, iters)
-	}
-	m := newMeters(opt.Metrics)
-	rep := &Report{Params: p, Config: cfg}
-	stepZero := p.Step
-
-	// Clear temp files orphaned by a crash mid-Save before the lineage
-	// starts growing again.
-	if opt.Dir != "" {
-		if _, err := SweepTemps(opt.Dir); err != nil {
-			return nil, err
-		}
-	}
-
-	// ckpt is the most recent durable state; take one before the first
-	// iteration so even an iteration-0 fault has something to restore.
-	ckpt, err := ShardState(g, cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := persist(opt.Dir, ckpt); err != nil {
-		return nil, err
-	}
-	m.checkpoint()
-	rep.Checkpoints++
-
-	cur, curP := cfg, p
-	done := 0
-	for done < iters {
-		seg := opt.CheckpointEvery
-		if left := iters - done; left < seg {
-			seg = left
-		}
-		ro := runtime.RunOptions{CommDeadline: opt.CommDeadline}
-		if fault != nil && fault.Iteration >= done && fault.Iteration < done+seg {
-			ro.Fault = &runtime.FaultPlan{Rank: fault.Rank, Iteration: fault.Iteration - done}
-		}
-		losses, err := runtime.ParallelOpts(g, cur, curP, x, y, opt.LR, seg, ro)
-		if err == nil {
-			rep.Losses = append(rep.Losses, losses...)
-			rep.Steps = append(rep.Steps, curP.Step)
-			done += seg
-			if ckpt, err = ShardState(g, cur, curP); err != nil {
-				return rep, err
-			}
-			if err := persist(opt.Dir, ckpt); err != nil {
-				return rep, err
-			}
-			m.checkpoint()
-			rep.Checkpoints++
-			continue
-		}
-
-		var lost *runtime.DeviceLostError
-		if !errors.As(err, &lost) {
-			// Not a planned device loss: surface it. Partial losses from
-			// the failed segment are discarded — the state is torn.
-			return rep, err
-		}
-		fault = nil // consumed
-		m.fault()
-		rep.FaultsInjected++
-		began := time.Now()
-
-		newCfg, newP, bytes, err := recoverPlan(ctx, g, cl, cur, curP.Arch, lost.Rank, ckpt, opt, m)
-		if err != nil {
-			return rep, err
-		}
-		rep.Recovery = time.Since(began)
-		m.recovered(rep.Recovery)
-		rep.Reshards++
-		rep.ReshardBytesMoved = bytes
-
-		// Roll back to the checkpointed step: iterations after it re-run
-		// on the new plan (their losses were never recorded — Losses only
-		// grows at segment boundaries, which is where checkpoints are).
-		done = ckpt.Step - stepZero
-		cur, curP = newCfg, newP
-		rep.Config, rep.Params = cur, curP
-	}
-	rep.FinalStep = curP.Step
-	return rep, nil
-}
-
-// recoverPlan turns a device loss into a resumable (config, params) pair:
-// degrade the cluster, Replan, pick the best runnable candidate,
-// reshard the last checkpoint onto it, and reassemble full params.
-func recoverPlan(ctx context.Context, g *model.Graph, cl hardware.Cluster, prev *config.Config, arch *runtime.Arch, deadRank int, ckpt *State, opt Options, m *meters) (*config.Config, *runtime.Params, int64, error) {
-	spec := hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: deadRank, Dead: true}}}
-	degraded, err := cl.Degrade(spec)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("elastic: degrade: %w", err)
-	}
-
-	// Restore once up front: candidate filtering needs the weights to
-	// check runnability (tp divisibility against actual tensor shapes).
-	if opt.Dir != "" {
-		if ckpt, err = Load(ckptPath(opt.Dir)); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	restored, err := AssembleState(ckpt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	restored.Arch = arch
-	m.restore()
-
-	res, err := core.Replan(ctx, g, cl, spec, prev, core.Options{
-		TimeBudget: opt.SearchBudget,
-		Seed:       opt.Seed,
-	})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("elastic: replan: %w", err)
-	}
-	next := pickRunnable(g, degraded, res, restored)
-	if next == nil {
-		// The search found nothing executable; fall back to the direct
-		// projection of the surviving plan.
-		proj, err := core.ProjectConfig(g, prev, degraded.TotalDevices())
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("elastic: no runnable replanned config and projection failed: %w", err)
-		}
-		if !runnable(g, degraded, proj, restored) {
-			return nil, nil, 0, fmt.Errorf("elastic: projected config not runnable on %d devices", degraded.TotalDevices())
-		}
-		next = proj
-	}
-
-	resharded, err := Reshard(g, next, ckpt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	// Bytes moved compares physical devices: the checkpoint's ranks are
-	// healthy-cluster physical ranks, the new plan's are logical ranks
-	// of the degraded cluster.
-	bytes := BytesMoved(ckpt, resharded, nil, degraded.PhysOf)
-	m.reshard(bytes)
-
-	// Resume from the *resharded* state, not the assembly shortcut —
-	// this is the path that proves reshard exactness end to end.
-	newP, err := AssembleState(resharded)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	newP.Arch = arch
-	return next, newP, bytes, nil
-}
-
-// pickRunnable returns the first candidate (best first) the runtime
-// can actually execute, or nil.
+// pickRunnable returns the first replan candidate (best first) that
+// fills cl exactly and that the runtime can execute, or nil.
 func pickRunnable(g *model.Graph, cl hardware.Cluster, res *core.Result, p *runtime.Params) *config.Config {
 	cands := append([]core.Candidate{res.Best}, res.TopK...)
 	for i := range cands {
 		c := cands[i].Config
-		if c != nil && runnable(g, cl, c, p) {
+		if c != nil && c.TotalDevices() == cl.TotalDevices() && runnableOn(g, &cl, c, p) {
 			return c
 		}
 	}
 	return nil
-}
-
-// runnable checks a candidate against both the config validator and
-// the runtime's executability preflight.
-func runnable(g *model.Graph, cl hardware.Cluster, c *config.Config, p *runtime.Params) bool {
-	if c.Validate(g, cl.TotalDevices()) != nil {
-		return false
-	}
-	if c.MicroBatch <= 0 || g.GlobalBatch%c.MicroBatch != 0 {
-		return false
-	}
-	return runtime.CheckRunnable(g, c, p) == nil
 }
 
 // ckptPath is the single-lineage checkpoint file under dir.

@@ -1,10 +1,11 @@
 // Package elastic is the fault-recovery layer over the numeric
 // runtime: versioned checkpoints of the full training state
 // (checkpoint.go), a resharder that maps that state between arbitrary
-// parallelization plans (this file), and a driver that closes the
+// parallelization plans (this file), and a supervisor that closes the
 // paper's bottleneck-alleviation loop at execution time — train,
 // lose a device mid-iteration, core.Replan on the degraded cluster,
-// reshard the last checkpoint onto the new plan, resume (elastic.go).
+// reshard the last checkpoint onto the new plan, resume (Supervise in
+// churn.go).
 //
 // The reshard contract is exactness: sharding is pure partitioning
 // (every scalar of every tensor lives in exactly one shard), so

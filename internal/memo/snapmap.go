@@ -58,9 +58,17 @@ func (m *SnapMap[K, V]) Load(k K) (V, bool) {
 }
 
 // Store memoizes v for k, merging the overflow into a new snapshot
-// once it grows past the threshold.
+// once it grows past the threshold. A key a concurrent merge already
+// published is left alone, so no key ever sits in both maps and Len
+// stays exact.
 func (m *SnapMap[K, V]) Store(k K, v V) {
 	m.mu.Lock()
+	if s := m.snap.Load(); s != nil {
+		if _, ok := (*s)[k]; ok {
+			m.mu.Unlock()
+			return
+		}
+	}
 	if m.over == nil {
 		m.over = make(map[K]V)
 	}
@@ -104,17 +112,13 @@ func (m *SnapMap[K, V]) Len() int {
 	return n
 }
 
-// ForEach calls fn for every entry (snapshot first, then overflow;
-// overflow entries shadow snapshot ones, though with pure values the
-// two never disagree).
+// ForEach calls fn for every entry, snapshot first, then overflow.
 func (m *SnapMap[K, V]) ForEach(fn func(K, V)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s := m.snap.Load(); s != nil {
 		for k, v := range *s {
-			if _, shadowed := m.over[k]; !shadowed {
-				fn(k, v)
-			}
+			fn(k, v)
 		}
 	}
 	for k, v := range m.over {

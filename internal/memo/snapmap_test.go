@@ -49,6 +49,22 @@ func TestSnapMapMerge(t *testing.T) {
 	}
 }
 
+// TestSnapMapStoreAfterMergeKeepsLenExact replays, sequentially, the
+// interleaving a racing reader produces: it misses a stale snapshot,
+// a concurrent Store merges the key into the snapshot, and the reader
+// then stores its recomputed value. The key must not land in both maps.
+func TestSnapMapStoreAfterMergeKeepsLenExact(t *testing.T) {
+	m := SnapMap[string, int]{Threshold: 1}
+	m.Store("a", 1)
+	m.Store("b", 2) // overflow exceeds the threshold: merge
+	m.Store("a", 1) // the late store of an already merged key
+	n := 0
+	m.ForEach(func(string, int) { n++ })
+	if got := m.Len(); got != n || n != 2 {
+		t.Fatalf("Len = %d, ForEach visited %d; want 2 and 2", got, n)
+	}
+}
+
 func TestSnapMapReplace(t *testing.T) {
 	var m SnapMap[string, int]
 	m.Store("stale", 1)
@@ -98,5 +114,10 @@ func TestSnapMapConcurrent(t *testing.T) {
 		if v, ok := m.Load(k); !ok || v != k*3 {
 			t.Fatalf("after run: Load(%d) = %d, %v; want %d, true", k, v, ok, k*3)
 		}
+	}
+	n := 0
+	m.ForEach(func(int, int) { n++ })
+	if got := m.Len(); got != n {
+		t.Fatalf("Len = %d, ForEach visited %d", got, n)
 	}
 }

@@ -39,16 +39,13 @@ const (
 	DiffViolationsTotal  = "aceso_diff_violations_total"
 	DiffShrinkStepsTotal = "aceso_diff_shrink_steps_total"
 
-	// Elastic-training runtime (internal/elastic): fault recovery,
-	// checkpointing and state resharding.
-	ElasticFaultsInjectedTotal    = "aceso_elastic_faults_injected_total"
+	// Elastic-training runtime (internal/elastic): the checkpoint
+	// lineage — checkpoints, restores and state resharding. Faults and
+	// recovery time are the aceso_churn_* families below.
 	ElasticCheckpointsTotal       = "aceso_elastic_checkpoints_total"
 	ElasticRestoresTotal          = "aceso_elastic_restores_total"
 	ElasticReshardsTotal          = "aceso_elastic_reshards_total"
 	ElasticReshardBytesMovedTotal = "aceso_elastic_reshard_bytes_moved_total"
-	// ElasticRecovery is a Timer; the snapshot suffixes it with
-	// _seconds_total and _count.
-	ElasticRecovery = "aceso_elastic_recovery"
 
 	// Continuous-churn supervisor (elastic.Supervise). Events carry a
 	// `{kind="..."}` label per ChurnKind, ladder commits a
