@@ -84,30 +84,11 @@ models: gpt3 (350M 1.3B 2.6B 6.7B 13B), t5 (770M 3B 6B 11B 22B),
 
 // workload parses the shared -model/-size/-gpus flags.
 func workload(fs *flag.FlagSet) (get func() (*model.Graph, hardware.Cluster, error)) {
-	mdl := fs.String("model", "gpt3", "model family: gpt3, t5, wresnet, deep-<layers>")
+	mdl := fs.String("model", "gpt3", "model family: gpt3, t5, wresnet, llama, deep-<layers>")
 	size := fs.String("size", "1.3B", "model size label (Table 2)")
 	gpus := fs.Int("gpus", 4, "number of GPUs (V100-32GB, 8 per node)")
 	return func() (*model.Graph, hardware.Cluster, error) {
-		var g *model.Graph
-		var err error
-		switch {
-		case *mdl == "gpt3":
-			g, err = model.GPT3(*size)
-		case *mdl == "t5":
-			g, err = model.T5(*size)
-		case *mdl == "wresnet":
-			g, err = model.WideResNet(*size)
-		case *mdl == "llama":
-			g, err = model.Llama(*size)
-		case len(*mdl) > 5 && (*mdl)[:5] == "deep-":
-			var layers int
-			if _, err := fmt.Sscanf(*mdl, "deep-%d", &layers); err != nil {
-				return nil, hardware.Cluster{}, fmt.Errorf("bad deep model spec %q", *mdl)
-			}
-			g, err = model.DeepTransformer(layers)
-		default:
-			return nil, hardware.Cluster{}, fmt.Errorf("unknown model %q", *mdl)
-		}
+		g, err := model.ByName(*mdl, *size)
 		if err != nil {
 			return nil, hardware.Cluster{}, err
 		}

@@ -1,80 +1,26 @@
 // Command acesobench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index).
+// evaluation (see DESIGN.md §4 for the experiment index) and runs the
+// repository's benchmarks and CI gates.
 //
 // Usage:
 //
-//	acesobench [-budget 2s] [-sizes 5] [-seed 1] [targets...]
+//	acesobench [flags] [targets...]
 //
-// Targets: fig1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-// fig16 tables cases ablations, or "all" (default).
-// fig7/fig8/fig15/fig16/tables share one end-to-end run.
-//
-// The extra target "search" (not part of "all") measures raw search
-// throughput on the fixed-iteration GPT-3 2.6B / 16-GPU setting of
-// BenchmarkSearchThroughput and writes BENCH_search.json (see
-// -benchfile), preserving any previously recorded baseline so the file
-// carries before/after numbers across optimization work. With -guard
-// the target instead *checks* the committed file: it reruns the
-// measurement, leaves the file untouched, and exits non-zero if the
-// explored count drifted (the search is bit-identical by contract) or
-// ns/op / allocs/op regressed beyond -guard-ns-tol / -guard-alloc-tol.
-//
-// The extra target "scale" (not part of "all") runs the search on
-// synthetic thousand-device clusters — 1024, 2048 and 4096 V100s with
-// uniform graphs of 2560, 5120 and 10240 operators — under a fixed
-// iteration budget (-scale-iters) and writes BENCH_scale.json (see
-// -scalefile). Explored counts are the determinism fingerprint at
-// scale: when the committed file already has a row for a setting, a
-// differing count makes the run exit non-zero.
-//
-// Any target combination can be profiled with -cpuprofile and
-// -memprofile, which write pprof files covering everything the
-// invocation ran (the profiles are finalized even when a target fails;
-// see DESIGN.md §5g for the profiling workflow).
-//
-// The extra target "chaos" (not part of "all") runs the fault-injection
-// harness of internal/chaos for -chaos-duration (or -chaos-trials
-// trials), and exits non-zero if any trial panics, returns an invalid
-// plan, or leaks a non-finite score.
-//
-// The extra target "diff" (not part of "all") runs the differential
-// model-vs-simulator validation of internal/diffcheck for -diff-trials
-// randomized tuples (twice with -diff-effects-on: once per mode),
-// writes BENCH_diff.json (trials, violations, signed-band percentiles,
-// metrics) plus one BENCH_diff_repro_NNN.json per shrunken violation,
-// and exits non-zero on any invariant violation.
-//
-// The extra target "hetero" (not part of "all") runs the heterogeneous
-// planning case study: a fixed-iteration search of GPT-3 1.3B on a
-// mixed A100+V100 fleet against the best class-blind plan re-priced on
-// the same fleet (plus homogeneous all-A100/all-V100 baselines), and a
-// mixed-cluster slice of the differential validation. It writes
-// BENCH_hetero.json (see -heterofile) and exits non-zero if the
-// hetero-aware plan does not strictly beat the class-blind one or any
-// diff tuple violates an invariant; with -guard it checks the
-// committed file instead — explored counts and the chosen plan's
-// fingerprint must match exactly.
-//
-// The extra target "spot" (not part of "all") runs the spot-capacity
-// case study: risk-aware planning on a mixed reserved/spot fleet
-// against the hazard-blind search re-priced under the true hazard, a
-// deterministic preemption trace replayed through the churn supervisor
-// twice (notices honored vs ignored), and the randomized spot chaos
-// pass. It writes BENCH_spot.json (see -spotfile) and exits non-zero
-// unless the risk-aware replay achieves at least 1.2x the risk-blind
-// replay's achieved throughput.
-//
-// The extra target "trace" (not part of "all") runs a fixed-iteration
-// search with the full observability stack attached: it writes the
-// deterministic JSONL iteration trace to -tracefile, a summary
-// (metrics snapshot, convergence curve, auditor tally) next to it as
-// BENCH_trace.json, and exits non-zero if the breakdown auditor finds
-// any resource-accounting violation.
+// Every target is one row of the table in targets(); -h prints it. With
+// no target, "all" runs the paper's evaluation. The benchmark targets
+// run by name: a full run writes its BENCH_*.json into the working
+// directory, and "smoke" runs the CI subset in check mode, comparing
+// against the committed files and writing only into a temporary
+// directory. A target returns its failed gates as an error; any error
+// makes the exit status non-zero, and an unknown target name is one.
+// -cpuprofile and -memprofile cover everything the invocation ran and
+// are finalized even when a target fails (DESIGN.md §5g).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -84,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,6 +47,361 @@ import (
 	art "aceso/internal/runtime"
 	"aceso/internal/tensor"
 )
+
+// target is one row of the harness: a name on the command line, one
+// line of -h documentation, and whether "all" (the paper's evaluation)
+// or "smoke" (the CI gate) runs it.
+type target struct {
+	name    string
+	doc     string
+	inAll   bool
+	inSmoke bool
+	run     func(*env) error
+}
+
+// env is what a target reads: the shared flags, the output mode and
+// the directory its files go to.
+type env struct {
+	set      exps.Settings
+	csvDir   string
+	chaosDur time.Duration // 0: the chaos target's smoke/full default
+	smoke    bool          // check mode: guard committed files, write only under dir
+	dir      string
+	w        io.Writer
+	e2e      *exps.E2E // computed once for fig7, fig8, tables, fig15 and fig16
+}
+
+// path places an output file in the env's directory.
+func (e *env) path(name string) string { return filepath.Join(e.dir, name) }
+
+// csv writes one experiment's rows into the -csv directory, if set.
+func (e *env) csv(name string, write func(io.Writer) error) error {
+	if e.csvDir == "" {
+		return nil
+	}
+	return writeFile(filepath.Join(e.csvDir, name), write)
+}
+
+// pick returns a target parameter's smoke or full value.
+func pick[T any](e *env, smoke, full T) T {
+	if e.smoke {
+		return smoke
+	}
+	return full
+}
+
+// Fixed parameters of the benchmark targets.
+const (
+	searchReps       = 3
+	guardNsTol       = 0.5 // smoke: allowed fractional ns/op regression (wall time is machine-noisy; this catches order-of-magnitude slips, not jitter)
+	guardAllocTol    = 0.1 // smoke: allowed fractional allocs/op regression (allocation counts are near-deterministic)
+	scaleIters       = 2
+	diffTrials       = diffcheck.DefaultTrials  // 5000 tuples per mode
+	churnTrials      = chaos.DefaultChurnTrials // 12
+	spotTrials       = chaos.DefaultSpotTrials  // 12
+	heteroDiffTrials = 512
+	serveRequests    = 1200
+	serveClients     = 32
+)
+
+// targets is the harness: every target in the order it runs.
+func targets() []target {
+	curves := func(title string) func(io.Writer, map[string][]exps.Curve) {
+		return func(w io.Writer, groups map[string][]exps.Curve) { exps.RenderCurves(w, title, groups) }
+	}
+	return []target{
+		{name: "fig1", inAll: true, doc: "Figure 1: configuration-space size vs layers and mechanisms",
+			run: figure(func(exps.Settings) ([]exps.Fig1Row, error) { return exps.Fig1(nil), nil },
+				exps.RenderFig1, "fig1.csv", exps.WriteFig1CSV)},
+		{name: "fig7", inAll: true, doc: "Exp#1 / Figure 7: normalized throughput vs Megatron-LM and Alpa",
+			run: e2eView((*exps.E2E).RenderFig7)},
+		{name: "fig8", inAll: true, doc: "Exp#2 / Figure 8: search cost vs Alpa",
+			run: e2eView((*exps.E2E).RenderFig8)},
+		{name: "tables", inAll: true, doc: "Tables 3-5: TFLOPS per GPU",
+			run: e2eView((*exps.E2E).RenderTables)},
+		{name: "fig15", inAll: true, doc: "Exp#8 / Figure 15: predicted vs simulated iteration time",
+			run: e2eView((*exps.E2E).RenderFig15)},
+		{name: "fig16", inAll: true, doc: "Exp#9 / Figure 16: predicted vs simulated peak memory",
+			run: e2eView((*exps.E2E).RenderFig16)},
+		{name: "fig9", inAll: true, doc: "Exp#3 / Figure 9: scalability to 1K layers",
+			run: figure(func(s exps.Settings) ([]exps.Fig9Row, error) { return exps.Fig9(s, nil) },
+				exps.RenderFig9, "fig9.csv", exps.WriteFig9CSV)},
+		{name: "fig10", inAll: true, doc: "Exp#4 / Figure 10: explored configs and found plans, DP vs Aceso",
+			run: figure(exps.Fig10, exps.RenderFig10, "fig10.csv", exps.WriteFig10CSV)},
+		{name: "fig11", inAll: true, doc: "Exp#5 / Figure 11: tried bottlenecks and hops per improving iteration",
+			run: figure(exps.Fig11, exps.RenderFig11, "fig11.csv", exps.WriteFig11CSV)},
+		{name: "fig12", inAll: true, doc: "Exp#5 / Figure 12: convergence with vs without Heuristic-2",
+			run: figure(exps.Fig12, curves("Figure 12 (Exp#5): convergence with vs without Heuristic-2"),
+				"fig12.csv", exps.WriteCurvesCSV)},
+		{name: "fig13", inAll: true, doc: "Exp#6 / Figure 13: convergence under different MaxHops",
+			run: figure(exps.Fig13, curves("Figure 13 (Exp#6): convergence under different MaxHops"),
+				"fig13.csv", exps.WriteCurvesCSV)},
+		{name: "fig14", inAll: true, doc: "Exp#7 / Figure 14: robustness to the initial configuration",
+			run: figure(exps.Fig14, curves("Figure 14 (Exp#7): robustness to the initial configuration"),
+				"fig14.csv", exps.WriteCurvesCSV)},
+		{name: "ablations", inAll: true, doc: "ablations of the search design knobs and the 1F1B-vs-GPipe memory ratio",
+			run: func(e *env) error {
+				rows, memRatio, err := exps.Ablations(e.set)
+				if err != nil {
+					return err
+				}
+				exps.RenderAblations(e.w, rows, memRatio)
+				return nil
+			}},
+		{name: "cases", inAll: true, doc: "§5.4 case studies: uneven GPT stages, mixed WRN last stage",
+			run: figure(exps.Cases, exps.RenderCases, "", nil)},
+		{name: "search", inSmoke: true, run: runSearch,
+			doc: "search throughput, GPT-3 2.6B on 16 V100s → BENCH_search.json; smoke: explored exact, ns/op +50%, allocs/op +10%"},
+		{name: "scale", run: runScaleBench,
+			doc: "search on 1024-4096 devices → BENCH_scale.json; fails if an explored count drifts"},
+		{name: "trace", inSmoke: true, run: runTrace,
+			doc: "traced search (smoke 2 / full 4 iterations) → BENCH_trace.jsonl + .json; fails on any auditor violation"},
+		{name: "diff", inSmoke: true, run: runDiff,
+			doc: "model-vs-simulator check, 5000 tuples per mode (smoke: effects-off only) → BENCH_diff.json; fails on any violation"},
+		{name: "hetero", inSmoke: true, run: runHeteroBench,
+			doc: "mixed A100+V100 planning vs class-blind → BENCH_hetero.json; smoke: explored and plan exact"},
+		{name: "churn", inSmoke: true, run: runChurnBench,
+			doc: "22-event churn schedule through Supervise + 12 chaos trials → BENCH_churn.json; 1e-9 trajectory gate"},
+		{name: "spot", run: runSpotBench,
+			doc: "risk-aware vs risk-blind spot replay + 12 chaos trials → BENCH_spot.json; ≥1.2x achieved speedup"},
+		{name: "serve", run: runServeBench,
+			doc: "planserver load test, 1200 requests × 32 clients → BENCH_serve.json; error, cache and drain gates"},
+		{name: "chaos", inSmoke: true, run: runChaos,
+			doc: "fault-injection trials for 10s (smoke) / 30s; fails on a panic, invalid plan or non-finite score"},
+		{name: "smoke", run: runSmoke,
+			doc: "the CI gate: every smoke target above in check mode, writing only into a temp dir"},
+	}
+}
+
+// figure adapts one paper experiment to a target: compute it, render
+// it, and with -csv also write its rows to csvName.
+func figure[T any](compute func(exps.Settings) (T, error), render func(io.Writer, T),
+	csvName string, csv func(io.Writer, T) error) func(*env) error {
+	return func(e *env) error {
+		v, err := compute(e.set)
+		if err != nil {
+			return err
+		}
+		render(e.w, v)
+		if csv == nil {
+			return nil
+		}
+		return e.csv(csvName, func(w io.Writer) error { return csv(w, v) })
+	}
+}
+
+// e2eView renders one view of the end-to-end comparison; the first
+// such target to run computes it for the rest.
+func e2eView(render func(*exps.E2E, io.Writer)) func(*env) error {
+	return func(e *env) error {
+		if e.e2e == nil {
+			fmt.Fprintf(e.w, "running end-to-end comparison (budget %v/search, %d sizes)...\n", e.set.Budget, e.set.Sizes)
+			r, err := exps.RunE2E(e.set, nil)
+			if err != nil {
+				return err
+			}
+			if err := e.csv("e2e.csv", r.WriteCSV); err != nil {
+				return err
+			}
+			e.e2e = r
+		}
+		render(e.e2e, e.w)
+		return nil
+	}
+}
+
+// selectTargets returns the rows args name, in table order. "all" (the
+// default) names every inAll row. An unknown name is an error listing
+// the valid ones.
+func selectTargets(rows []target, args []string) ([]target, error) {
+	if len(args) == 0 {
+		args = []string{"all"}
+	}
+	names := []string{"all"}
+	for _, t := range rows {
+		names = append(names, t.name)
+	}
+	want := map[string]bool{}
+	for _, a := range args {
+		if !slices.Contains(names, a) {
+			return nil, fmt.Errorf("unknown target %q (valid: %s)", a, strings.Join(names, " "))
+		}
+		want[a] = true
+	}
+	var out []target
+	for _, t := range rows {
+		if want[t.name] || (want["all"] && t.inAll) {
+			out = append(out, t)
+		}
+	}
+	return out, nil
+}
+
+// runTargets runs rows in order, reporting each failure as it happens,
+// and returns the names of the rows that failed.
+func runTargets(e *env, rows []target) (failed []string) {
+	for _, t := range rows {
+		if err := t.run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "acesobench: %s: %v\n", t.name, err)
+			failed = append(failed, t.name)
+		}
+		fmt.Fprintln(e.w)
+	}
+	return failed
+}
+
+// runSmoke runs every inSmoke target in check mode. Outputs go to a
+// temporary directory that is removed on success and kept, with any
+// diff repro files, on failure.
+func runSmoke(e *env) error {
+	dir, err := os.MkdirTemp("", "acesobench-smoke-*")
+	if err != nil {
+		return err
+	}
+	var rows []target
+	for _, t := range targets() {
+		if t.inSmoke {
+			rows = append(rows, t)
+		}
+	}
+	se := *e
+	se.smoke, se.dir = true, dir
+	if failed := runTargets(&se, rows); len(failed) > 0 {
+		return fmt.Errorf("gates failed: %s (outputs kept in %s)", strings.Join(failed, ", "), dir)
+	}
+	fmt.Fprintf(e.w, "smoke: ok — %d targets passed\n", len(rows))
+	return os.RemoveAll(dir)
+}
+
+// gates collects a target's failed checks; err joins them, so a target
+// reports every gate it failed, not only the first.
+type gates []error
+
+func (g *gates) check(ok bool, format string, args ...any) {
+	if !ok {
+		*g = append(*g, fmt.Errorf(format, args...))
+	}
+}
+
+func (g gates) err() error { return errors.Join(g...) }
+
+// writeFile creates path, fills it with write, and reports the Close
+// error as well.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeJSON writes v as two-space-indented JSON plus a newline.
+func writeJSON(path string, v any) error {
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
+func readJSON(path string, v any) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
+}
+
+// startProfiles starts the -cpuprofile and returns the function that
+// finalizes both profiles.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "acesobench: -cpuprofile: %v\n", err)
+			}
+		}
+		if memPath != "" {
+			runtime.GC() // materialize the final live set
+			if err := writeFile(memPath, pprof.WriteHeapProfile); err != nil {
+				fmt.Fprintf(os.Stderr, "acesobench: -memprofile: %v\n", err)
+			}
+		}
+	}, nil
+}
+
+func main() { os.Exit(run()) }
+
+func run() int {
+	rows := targets()
+	budget := flag.Duration("budget", 2*time.Second, "per-search time budget (the paper used 200s)")
+	sizes := flag.Int("sizes", 5, "how many of the 5 model sizes to run (1-5)")
+	seed := flag.Int64("seed", 1, "deterministic seed")
+	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected targets to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
+	chaosDur := flag.Duration("chaos-duration", 0, "wall budget of the chaos target (0: 10s under smoke, 30s otherwise)")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "usage: acesobench [flags] [targets...]\n\ntargets (default all):\n")
+		fmt.Fprintf(out, "  %-10s   every target marked *\n", "all")
+		for _, t := range rows {
+			mark := " "
+			if t.inAll {
+				mark = "*"
+			}
+			fmt.Fprintf(out, "  %-10s %s %s\n", t.name, mark, t.doc)
+		}
+		fmt.Fprintf(out, "\nflags:\n")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+
+	sel, err := selectTargets(rows, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "acesobench:", err)
+		return 2
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "acesobench:", err)
+			return 1
+		}
+	}
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "acesobench: -cpuprofile:", err)
+		return 1
+	}
+	defer stop()
+
+	e := &env{
+		set:      exps.Settings{Budget: *budget, Sizes: *sizes, Seed: *seed},
+		csvDir:   *csvDir,
+		chaosDur: *chaosDur,
+		dir:      ".",
+		w:        os.Stdout,
+	}
+	if failed := runTargets(e, sel); len(failed) > 0 {
+		return 1
+	}
+	return 0
+}
 
 // searchMeasurement is one timed run of the fixed-iteration search.
 type searchMeasurement struct {
@@ -120,15 +422,14 @@ type searchBenchFile struct {
 	Speedup   float64            `json:"speedup,omitempty"`
 }
 
-// runSearchBench mirrors BenchmarkSearchThroughput: an
+const searchFile = "BENCH_search.json"
+
+// measureSearch mirrors BenchmarkSearchThroughput: an
 // iteration-bounded (never deadline-bounded) search of GPT-3 2.6B on
 // 16 V100s, so ns/op tracks the machinery's cost per fixed amount of
 // exploration.
-func runSearchBench(reps int) (searchMeasurement, error) {
+func measureSearch(reps int) (searchMeasurement, error) {
 	var m searchMeasurement
-	if reps < 1 {
-		reps = 1
-	}
 	g, err := model.GPT3("2.6B")
 	if err != nil {
 		return m, err
@@ -157,36 +458,58 @@ func runSearchBench(reps int) (searchMeasurement, error) {
 	return m, nil
 }
 
-// emitSearchBench writes BENCH_search.json, keeping an existing
-// baseline (and its explored count as the reference) if the file is
-// already present.
-func emitSearchBench(path string, cur searchMeasurement) (searchBenchFile, error) {
+// runSearch measures search throughput. A full run rewrites the
+// "current" block of BENCH_search.json, keeping its recorded baseline;
+// smoke checks the committed file instead: explored must match exactly
+// (the search is bit-identical by contract) and ns/op and allocs/op
+// must stay within the guard tolerances.
+func runSearch(e *env) error {
+	fmt.Fprintf(e.w, "measuring search throughput (%d reps, fixed-iteration GPT-3 2.6B / 16 GPUs)...\n", searchReps)
+	cur, err := measureSearch(searchReps)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.w, "search throughput: %d ns/op, %d explored, %d B/op, %d allocs/op\n",
+		cur.NsPerOp, cur.Explored, cur.BytesPerOp, cur.AllocsPerOp)
+	var rec searchBenchFile
+	prevErr := readJSON(searchFile, &rec)
+	if e.smoke {
+		if prevErr != nil {
+			return fmt.Errorf("no committed benchmark to guard against: %w", prevErr)
+		}
+		ref := rec.Current
+		var g gates
+		g.check(cur.Explored == ref.Explored, "explored %d, recorded %d — the search is no longer bit-identical",
+			cur.Explored, ref.Explored)
+		g.check(float64(cur.AllocsPerOp) <= float64(ref.AllocsPerOp)*(1+guardAllocTol),
+			"allocs/op %d exceeds recorded %d by more than %.0f%%", cur.AllocsPerOp, ref.AllocsPerOp, guardAllocTol*100)
+		g.check(float64(cur.NsPerOp) <= float64(ref.NsPerOp)*(1+guardNsTol),
+			"ns/op %d exceeds recorded %d by more than %.0f%%", cur.NsPerOp, ref.NsPerOp, guardNsTol*100)
+		if len(g) == 0 {
+			fmt.Fprintf(e.w, "guard: ok — explored matches, within %.0f%% ns/op and %.0f%% allocs/op of %s\n",
+				guardNsTol*100, guardAllocTol*100, searchFile)
+		}
+		return g.err()
+	}
 	out := searchBenchFile{
 		Benchmark: "BenchmarkSearchThroughput",
 		Setting:   "GPT-3 2.6B on 16xV100 (DGX1V100(2)), MaxIterations=4, Seed=1, fixed-iteration",
+		Baseline:  rec.Baseline,
 		Current:   cur,
 	}
-	if raw, err := os.ReadFile(path); err == nil {
-		var prev searchBenchFile
-		if err := json.Unmarshal(raw, &prev); err == nil && prev.Baseline != nil {
-			out.Baseline = prev.Baseline
-		}
-	}
-	if out.Baseline == nil {
+	if prevErr != nil || out.Baseline == nil {
 		b := cur
 		out.Baseline = &b
 	}
 	if cur.NsPerOp > 0 {
 		out.Speedup = float64(out.Baseline.NsPerOp) / float64(cur.NsPerOp)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return out, err
+	if err := writeJSON(e.path(searchFile), out); err != nil {
+		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return out, enc.Encode(out)
+	fmt.Fprintf(e.w, "baseline: %d ns/op (speedup %.2fx) — recorded in %s\n",
+		out.Baseline.NsPerOp, out.Speedup, e.path(searchFile))
+	return nil
 }
 
 // scaleRow is one cluster/graph point of the scale benchmark.
@@ -226,38 +549,36 @@ var scalePoints = []struct{ nodes, ops int }{
 var scaleStageCounts = []int{8, 16, 32}
 
 // runScaleBench runs the fixed-iteration search on each scale point,
-// writes the report, and returns how many rows drifted from the
-// explored counts previously recorded in path.
-func runScaleBench(path string, iters int, seed int64, w io.Writer) (int, error) {
+// rewrites BENCH_scale.json, and fails if any row's explored count
+// drifted from the count previously recorded for the same setting.
+func runScaleBench(e *env) error {
+	path, seed := e.path("BENCH_scale.json"), e.set.Seed
+	fmt.Fprintf(e.w, "running scale benchmark (%d points up to 4096 devices / 10240 ops, %d iterations, seed %d)...\n",
+		len(scalePoints), scaleIters, seed)
 	var prev scaleBenchFile
-	havePrev := false
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			havePrev = prev.MaxIterations == iters && prev.Seed == seed
-		}
-	}
+	havePrev := readJSON(path, &prev) == nil && prev.MaxIterations == scaleIters && prev.Seed == seed
 	out := scaleBenchFile{
 		Setting: fmt.Sprintf("uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, Seed=%d, fixed-iteration",
-			scaleStageCounts, iters, seed),
-		MaxIterations: iters,
+			scaleStageCounts, scaleIters, seed),
+		MaxIterations: scaleIters,
 		Seed:          seed,
 	}
-	drift := 0
+	var g gates
 	for _, pt := range scalePoints {
-		g := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
+		gr := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
 		cl := hardware.DGX1V100(pt.nodes)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := core.Search(g, cl, core.Options{
+		res, err := core.Search(gr, cl, core.Options{
 			TimeBudget:    time.Hour, // iteration-bounded, like the search bench
-			MaxIterations: iters,
+			MaxIterations: scaleIters,
 			Seed:          seed,
 			StageCounts:   scaleStageCounts,
 		})
 		if err != nil {
-			return drift, fmt.Errorf("%d devices / %d ops: %w", cl.TotalDevices(), pt.ops, err)
+			return fmt.Errorf("%d devices / %d ops: %w", cl.TotalDevices(), pt.ops, err)
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
@@ -271,36 +592,23 @@ func runScaleBench(path string, iters int, seed int64, w io.Writer) (int, error)
 			AllocMB:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
 		}
 		out.Rows = append(out.Rows, row)
-		fmt.Fprintf(w, "scale: %4d devices, %5d ops: %8.0fms, %d explored, best %.4fs, %.0f MB allocated\n",
+		fmt.Fprintf(e.w, "scale: %4d devices, %5d ops: %8.0fms, %d explored, best %.4fs, %.0f MB allocated\n",
 			row.Devices, row.Ops, row.ElapsedMs, row.Explored, row.BestScore, row.AllocMB)
 		if havePrev {
 			for _, p := range prev.Rows {
 				if p.Devices == row.Devices && p.Ops == row.Ops {
-					if p.Explored != row.Explored {
-						drift++
-						fmt.Fprintf(w, "scale: DRIFT at %d devices / %d ops: explored %d, recorded %d\n",
-							row.Devices, row.Ops, row.Explored, p.Explored)
-					}
+					g.check(p.Explored == row.Explored, "drift at %d devices / %d ops: explored %d, recorded %d",
+						row.Devices, row.Ops, row.Explored, p.Explored)
 					break
 				}
 			}
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return drift, err
+	if err := writeJSON(path, out); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return drift, err
-	}
-	if err := f.Close(); err != nil {
-		return drift, err
-	}
-	fmt.Fprintf(w, "scale: report → %s\n", path)
-	return drift, nil
+	fmt.Fprintf(e.w, "scale: report → %s\n", path)
+	return g.err()
 }
 
 // tracePoint is one convergence-curve sample in BENCH_trace.json.
@@ -327,7 +635,11 @@ type traceSummary struct {
 // runTrace executes the fixed-iteration observability run: the same
 // GPT-3 2.6B / 16-V100 setting as the search benchmark, with the JSONL
 // tracer, the metrics registry and the breakdown auditor all attached.
-func runTrace(traceFile, summaryFile string, iters int, seed int64, w io.Writer) error {
+// It writes the deterministic JSONL iteration trace plus a summary and
+// fails on any resource-accounting violation.
+func runTrace(e *env) error {
+	iters, seed := pick(e, 2, 4), e.set.Seed
+	fmt.Fprintf(e.w, "running traced search (%d iterations/stage-count, seed %d)...\n", iters, seed)
 	g, err := model.GPT3("2.6B")
 	if err != nil {
 		return err
@@ -347,19 +659,13 @@ func runTrace(traceFile, summaryFile string, iters int, seed int64, w io.Writer)
 	if err != nil {
 		return err
 	}
-
-	tf, err := os.Create(traceFile)
-	if err != nil {
+	traceFile, summaryFile := e.path("BENCH_trace.jsonl"), e.path("BENCH_trace.json")
+	if err := writeFile(traceFile, func(w io.Writer) error {
+		_, err := jsonl.WriteTo(w)
+		return err
+	}); err != nil {
 		return err
 	}
-	if _, err := jsonl.WriteTo(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-
 	sum := traceSummary{
 		Setting:    fmt.Sprintf("GPT-3 2.6B on 16xV100 (DGX1V100(2)), MaxIterations=%d, Seed=%d", iters, seed),
 		Iterations: res.Iterations,
@@ -375,27 +681,13 @@ func runTrace(traceFile, summaryFile string, iters int, seed int64, w io.Writer)
 			Score:          p.Score,
 		})
 	}
-	sf, err := os.Create(summaryFile)
-	if err != nil {
+	if err := writeJSON(summaryFile, sum); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(sf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sum); err != nil {
-		sf.Close()
-		return err
-	}
-	if err := sf.Close(); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "trace: %d iterations, %d explored, best %.4fs, %d estimates audited\n",
+	fmt.Fprintf(e.w, "trace: %d iterations, %d explored, best %.4fs, %d estimates audited\n",
 		res.Iterations, res.Explored, res.Best.Score, auditor.Checked())
-	fmt.Fprintf(w, "trace: events → %s, summary → %s\n", traceFile, summaryFile)
-	if err := auditor.Err(); err != nil {
-		return err
-	}
-	return nil
+	fmt.Fprintf(e.w, "trace: events → %s, summary → %s\n", traceFile, summaryFile)
+	return auditor.Err()
 }
 
 // diffBenchFile is the BENCH_diff.json schema: one report per checked
@@ -408,63 +700,50 @@ type diffBenchFile struct {
 	Metrics    *obs.Registry       `json:"metrics"`
 }
 
-// runDiff executes the differential validation target: an effects-off
-// run (hard invariants), optionally an effects-on run (calibration
-// band), BENCH_diff.json, and one repro JSON per shrunken violation.
-// The returned violation count drives the process exit code.
-func runDiff(outFile string, trials int, seed int64, effectsOn bool, w io.Writer) (int, error) {
+// runDiff executes the differential validation: an effects-off pass
+// (hard invariants) and, outside smoke, an effects-on pass (calibration
+// band). It writes BENCH_diff.json plus one shrunken repro JSON per
+// violation, and fails on any violation.
+func runDiff(e *env) error {
+	modes := pick(e, []bool{false}, []bool{false, true})
+	seed := e.set.Seed
+	fmt.Fprintf(e.w, "running differential validation (%d trials/mode, seed %d, effects-on pass: %v)...\n",
+		diffTrials, seed, len(modes) > 1)
 	reg := obs.NewRegistry()
-	modes := []bool{false}
-	if effectsOn {
-		modes = append(modes, true)
-	}
 	out := diffBenchFile{
-		Setting: fmt.Sprintf("randomized model-vs-simulator tuples, %d trials/mode, seed %d", trials, seed),
+		Setting: fmt.Sprintf("randomized model-vs-simulator tuples, %d trials/mode, seed %d", diffTrials, seed),
 		Metrics: reg,
 	}
-	violations := 0
 	for _, on := range modes {
 		rep := diffcheck.Run(diffcheck.Options{
-			Trials:    trials,
+			Trials:    diffTrials,
 			Seed:      seed,
 			EffectsOn: on,
 			Metrics:   reg,
 			Log: func(format string, args ...any) {
-				fmt.Fprintf(w, format+"\n", args...)
+				fmt.Fprintf(e.w, format+"\n", args...)
 			},
 		})
-		fmt.Fprint(w, rep.Summary())
+		fmt.Fprint(e.w, rep.Summary())
 		out.Reports = append(out.Reports, rep)
 		for _, v := range rep.Violations {
-			name := fmt.Sprintf("%s_repro_%03d.json",
-				strings.TrimSuffix(outFile, filepath.Ext(outFile)), violations)
-			violations++
-			raw, err := json.MarshalIndent(v, "", "  ")
-			if err != nil {
-				return violations, err
-			}
-			if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
-				return violations, err
+			name := e.path(fmt.Sprintf("BENCH_diff_repro_%03d.json", len(out.ReproFiles)))
+			if err := writeJSON(name, v); err != nil {
+				return err
 			}
 			out.ReproFiles = append(out.ReproFiles, name)
-			fmt.Fprintf(w, "diff: wrote shrunken repro → %s\n", name)
+			fmt.Fprintf(e.w, "diff: wrote shrunken repro → %s\n", name)
 		}
 	}
-	f, err := os.Create(outFile)
-	if err != nil {
-		return violations, err
+	path := e.path("BENCH_diff.json")
+	if err := writeJSON(path, out); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return violations, err
+	fmt.Fprintf(e.w, "diff: report → %s\n", path)
+	if n := len(out.ReproFiles); n > 0 {
+		return fmt.Errorf("%d invariant violations (repro files written)", n)
 	}
-	if err := f.Close(); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "diff: report → %s\n", outFile)
-	return violations, nil
+	return nil
 }
 
 // heteroBenchFile is the BENCH_hetero.json schema: the heterogeneous
@@ -473,7 +752,7 @@ func runDiff(outFile string, trials int, seed int64, effectsOn bool, w io.Writer
 // context) plus the hetero slice of the differential smoke. The
 // search is fully deterministic — iteration-bounded, fixed seed — so
 // explored counts, plan shapes and iteration times are all exact
-// fingerprints a -guard run can compare against.
+// fingerprints a smoke run can compare against.
 type heteroBenchFile struct {
 	Setting        string  `json:"setting"`
 	Seed           int64   `json:"seed"`
@@ -489,6 +768,8 @@ type heteroBenchFile struct {
 	DiffTrials     int     `json:"diff_trials"`
 	DiffViolations int     `json:"diff_violations"`
 }
+
+const heteroFile = "BENCH_hetero.json"
 
 // planFingerprint renders a configuration's shape as a stable string —
 // stage boundaries and device counts — so plan drift (as opposed to
@@ -512,11 +793,14 @@ func planFingerprint(cfg *config.Config) string {
 // penalty a homogeneous planner pays on a real mixed fleet — and
 // (b) homogeneous all-A100 / all-V100 fleets for context. It then runs
 // the hetero slice of the differential validation (every tuple on a
-// mixed-class cluster) with a zero-violation gate. With guard set the
-// committed file is checked instead of rewritten: explored counts and
-// the plan fingerprint must match exactly, and the hetero plan must
-// still strictly beat the blind one.
-func runHeteroBench(outFile string, guardMode bool, diffTrials int, seed int64, w io.Writer) error {
+// mixed-class cluster). The hetero plan must strictly beat the blind
+// one and the slice must have zero violations. A full run rewrites
+// BENCH_hetero.json; smoke checks the committed file instead: explored
+// counts and the plan fingerprint must match exactly.
+func runHeteroBench(e *env) error {
+	seed := e.set.Seed
+	fmt.Fprintf(e.w, "running heterogeneous planning case study (+%d mixed-cluster diff trials, seed %d)...\n",
+		heteroDiffTrials, seed)
 	g, err := model.GPT3("1.3B")
 	if err != nil {
 		return err
@@ -584,31 +868,29 @@ func runHeteroBench(outFile string, guardMode bool, diffTrials int, seed int64, 
 		return fmt.Errorf("all-V100 baseline: %w", err)
 	}
 
-	fmt.Fprintf(w, "hetero: mixed-aware %.4fs (explored %d, plan %s)\n",
+	fmt.Fprintf(e.w, "hetero: mixed-aware %.4fs (explored %d, plan %s)\n",
 		hetero.Best.Estimate.IterTime, hetero.Explored, planFingerprint(hetero.Best.Config))
-	fmt.Fprintf(w, "hetero: class-blind %.4fs re-priced (explored %d, %d/%d plans feasible) — speedup %.3fx\n",
+	fmt.Fprintf(e.w, "hetero: class-blind %.4fs re-priced (explored %d, %d/%d plans feasible) — speedup %.3fx\n",
 		blindTime, blindRes.Explored, blindFeasible, 1+len(blindRes.TopK),
 		blindTime/hetero.Best.Estimate.IterTime)
-	fmt.Fprintf(w, "hetero: homogeneous baselines: all-A100 %.4fs, all-V100 %.4fs\n", a100Time, v100Time)
-	if hetero.Best.Estimate.IterTime >= blindTime {
-		return fmt.Errorf("hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",
-			hetero.Best.Estimate.IterTime, blindTime)
-	}
+	fmt.Fprintf(e.w, "hetero: homogeneous baselines: all-A100 %.4fs, all-V100 %.4fs\n", a100Time, v100Time)
+	var gs gates
+	gs.check(hetero.Best.Estimate.IterTime < blindTime,
+		"hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",
+		hetero.Best.Estimate.IterTime, blindTime)
 
 	// Hetero diff slice: every tuple on a mixed-class cluster; the
 	// class-aware model and simulator must agree with zero violations.
 	rep := diffcheck.Run(diffcheck.Options{
-		Trials:    diffTrials,
+		Trials:    heteroDiffTrials,
 		Seed:      seed,
 		Generator: diffcheck.RandomHeteroTuple,
 		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
+			fmt.Fprintf(e.w, format+"\n", args...)
 		},
 	})
-	fmt.Fprint(w, rep.Summary())
-	if rep.Failed() {
-		return fmt.Errorf("%d hetero diff violations", len(rep.Violations))
-	}
+	fmt.Fprint(e.w, rep.Summary())
+	gs.check(!rep.Failed(), "%d hetero diff violations", len(rep.Violations))
 
 	out := heteroBenchFile{
 		Setting: fmt.Sprintf("GPT-3 1.3B on 8×A100-80GB + 8×V100-32GB, %d iterations, stage counts {2,4}, seed %d",
@@ -626,40 +908,27 @@ func runHeteroBench(outFile string, guardMode bool, diffTrials int, seed int64, 
 		DiffTrials:     rep.Trials,
 		DiffViolations: len(rep.Violations),
 	}
-
-	if guardMode {
-		raw, err := os.ReadFile(outFile)
-		if err != nil {
-			return fmt.Errorf("no committed benchmark to guard against: %w", err)
-		}
-		var rec heteroBenchFile
-		if err := json.Unmarshal(raw, &rec); err != nil {
+	if !e.smoke {
+		if err := writeJSON(e.path(heteroFile), out); err != nil {
 			return err
 		}
-		switch {
-		case out.HeteroExplored != rec.HeteroExplored:
-			return fmt.Errorf("hetero explored %d, recorded %d — the search is no longer bit-identical",
-				out.HeteroExplored, rec.HeteroExplored)
-		case out.BlindExplored != rec.BlindExplored:
-			return fmt.Errorf("class-blind explored %d, recorded %d — the homogeneous search drifted",
-				out.BlindExplored, rec.BlindExplored)
-		case out.HeteroPlan != rec.HeteroPlan:
-			return fmt.Errorf("hetero plan %q, recorded %q — the chosen plan drifted",
-				out.HeteroPlan, rec.HeteroPlan)
-		}
-		fmt.Fprintf(w, "guard: ok — explored counts and plan match %s\n", outFile)
-		return nil
+		fmt.Fprintf(e.w, "hetero: report → %s\n", e.path(heteroFile))
+		return gs.err()
 	}
-
-	raw, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
+	var rec heteroBenchFile
+	if err := readJSON(heteroFile, &rec); err != nil {
+		return fmt.Errorf("no committed benchmark to guard against: %w", err)
 	}
-	if err := os.WriteFile(outFile, append(raw, '\n'), 0o644); err != nil {
-		return err
+	gs.check(out.HeteroExplored == rec.HeteroExplored, "hetero explored %d, recorded %d — the search is no longer bit-identical",
+		out.HeteroExplored, rec.HeteroExplored)
+	gs.check(out.BlindExplored == rec.BlindExplored, "class-blind explored %d, recorded %d — the homogeneous search drifted",
+		out.BlindExplored, rec.BlindExplored)
+	gs.check(out.HeteroPlan == rec.HeteroPlan, "hetero plan %q, recorded %q — the chosen plan drifted",
+		out.HeteroPlan, rec.HeteroPlan)
+	if len(gs) == 0 {
+		fmt.Fprintf(e.w, "guard: ok — explored counts and plan match %s\n", heteroFile)
 	}
-	fmt.Fprintf(w, "hetero: report → %s\n", outFile)
-	return nil
+	return gs.err()
 }
 
 // elasticTol is the acceptance bound on the stitched-vs-uninterrupted
@@ -735,40 +1004,42 @@ func churnSchedule() elastic.ChurnSpec {
 	}}
 }
 
-// runChurnBench survives one deterministic churn schedule (22 mixed
-// events over 28 iterations on 8 emulated V100s across 2 nodes) and
-// gates on: every iteration completed, the final trajectory matching
-// an uninterrupted run within elasticTol, and hysteresis having
-// avoided at least one replan search. It then runs the randomized
-// churn chaos pass and writes BENCH_churn.json.
-func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, error) {
-	const (
-		layers, dim, batch = 6, 16, 32
-		iters              = 28
-		lr                 = 0.05
-	)
+// fleet is the emulated training setup the churn and spot targets
+// share.
+type fleet struct {
+	g    *model.Graph
+	cl   hardware.Cluster
+	cfg  *config.Config
+	x, y *tensor.Mat
+}
+
+// emulatedFleet builds MLP(6 layers, dim 16, batch 32) as pp2×tp2×dp2
+// with microbatch 8 on 8 emulated V100s, with seeded data. The cluster
+// is two 4-device nodes instead of half a DGX, so link derates hit a
+// fabric the plan actually crosses.
+func emulatedFleet(seed int64) (fleet, error) {
+	const layers, dim, batch = 6, 16, 32
+	var f fleet
 	g, err := model.MLP(layers, dim, batch)
 	if err != nil {
-		return 0, err
+		return f, err
 	}
 	cfg, err := config.Balanced(g, 8, 2, 8) // 2 stages × 4 devices, mbs 8
 	if err != nil {
-		return 0, err
+		return f, err
 	}
 	for i := range cfg.Stages {
 		for j := range cfg.Stages[i].Ops {
 			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 2}
 		}
 	}
-	// Two 4-device nodes instead of half a DGX: link derates then hit
-	// a fabric the plan actually crosses.
 	cl := hardware.DGX1V100(2)
 	cl.DevicesPerNode = 4
 	if err := cl.Validate(); err != nil {
-		return 0, err
+		return f, err
 	}
 	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return 0, err
+		return f, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	x, y := tensor.New(batch, dim), tensor.New(batch, dim)
@@ -776,24 +1047,53 @@ func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, er
 		x.Data[i] = rng.NormFloat64()
 		y.Data[i] = rng.NormFloat64()
 	}
+	return fleet{g: g, cl: cl, cfg: cfg, x: x, y: y}, nil
+}
 
-	ref := art.InitParams(g, seed)
-	ref.Opt = art.Adam
-	refLosses, err := art.Parallel(g, cfg, ref, x, y, lr, iters)
+// chaosViolations renders a chaos report's violations for a BENCH file.
+func chaosViolations(rep *chaos.Report) []string {
+	var out []string
+	for _, v := range rep.Violations {
+		out = append(out, fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
+	}
+	return out
+}
+
+// runChurnBench survives one deterministic churn schedule (22 mixed
+// events over 28 iterations on the emulated fleet) and gates on: every
+// iteration completed, the final trajectory matching an uninterrupted
+// run within elasticTol, hysteresis having avoided at least one replan
+// search, and the schedule having exercised faults and retries. It then
+// runs the randomized churn chaos pass (no violations allowed) and
+// writes BENCH_churn.json.
+func runChurnBench(e *env) error {
+	const (
+		iters = 28
+		lr    = 0.05
+	)
+	seed := e.set.Seed
+	fmt.Fprintf(e.w, "running continuous-churn benchmark (+%d chaos trials, seed %d)...\n", churnTrials, seed)
+	f, err := emulatedFleet(seed)
 	if err != nil {
-		return 0, err
+		return err
+	}
+	ref := art.InitParams(f.g, seed)
+	ref.Opt = art.Adam
+	refLosses, err := art.Parallel(f.g, f.cfg, ref, f.x, f.y, lr, iters)
+	if err != nil {
+		return err
 	}
 
 	dir, err := os.MkdirTemp("", "aceso-churn-*")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	reg := obs.NewRegistry()
-	p := art.InitParams(g, seed)
+	p := art.InitParams(f.g, seed)
 	p.Opt = art.Adam
 	spec := churnSchedule()
-	rep, err := elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec,
+	rep, err := elastic.Supervise(context.Background(), f.g, f.cl, f.cfg, p, f.x, f.y, iters, spec,
 		elastic.SuperviseOptions{
 			Options: elastic.Options{
 				LR:              lr,
@@ -808,12 +1108,12 @@ func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, er
 			SimulateTimeouts: 1, // exercise the backoff policy once
 		})
 	if err != nil {
-		return 0, err
+		return err
 	}
 
 	out := churnBenchFile{
-		Setting: fmt.Sprintf("MLP(%d layers, dim %d, batch %d), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4), %d-event churn schedule, checkpoint every 2, seed %d",
-			layers, dim, batch, len(spec.Events), seed),
+		Setting: fmt.Sprintf("MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4), %d-event churn schedule, checkpoint every 2, seed %d",
+			len(spec.Events), seed),
 		Iterations:        iters,
 		ScheduledEvents:   len(spec.Events),
 		EventsApplied:     rep.EventsApplied,
@@ -844,444 +1144,61 @@ func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, er
 		out.Transitions = append(out.Transitions, fmt.Sprintf("step %d [%s] %s", tr.Step, tr.Kind, tr.Detail))
 	}
 
-	violations := 0
-	if rep.FinalStep != iters || len(rep.Losses) != iters {
-		violations++
-		fmt.Fprintf(w, "churn: run incomplete: final step %d, %d losses, want %d\n",
-			rep.FinalStep, len(rep.Losses), iters)
-	}
-	if out.LossDeltaFinal > elasticTol || out.MaxParamDiff > elasticTol {
-		violations++
-		fmt.Fprintf(w, "churn: trajectory diverged: loss delta %g, param diff %g (tol %g)\n",
-			out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
-	}
-	if rep.ReplansAvoided == 0 {
-		violations++
-		fmt.Fprintf(w, "churn: hysteresis avoided no replans across %d events\n", rep.EventsApplied)
-	}
-	if rep.FaultsDetected == 0 || rep.Retries == 0 {
-		violations++
-		fmt.Fprintf(w, "churn: schedule exercised too little: faults=%d retries=%d\n",
-			rep.FaultsDetected, rep.Retries)
-	}
-	fmt.Fprintf(w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %.1fms p99 %.1fms\n",
+	var gs gates
+	gs.check(rep.FinalStep == iters && len(rep.Losses) == iters, "run incomplete: final step %d, %d losses, want %d",
+		rep.FinalStep, len(rep.Losses), iters)
+	gs.check(out.LossDeltaFinal <= elasticTol && out.MaxParamDiff <= elasticTol,
+		"trajectory diverged: loss delta %g, param diff %g (tol %g)", out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
+	gs.check(rep.ReplansAvoided > 0, "hysteresis avoided no replans across %d events", rep.EventsApplied)
+	gs.check(rep.FaultsDetected > 0 && rep.Retries > 0, "schedule exercised too little: faults=%d retries=%d",
+		rep.FaultsDetected, rep.Retries)
+	fmt.Fprintf(e.w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %.1fms p99 %.1fms\n",
 		rep.EventsApplied, rep.FaultsDetected, iters, out.AvailabilityPct, rep.StepsLost,
 		rep.Replans, rep.ReplansAvoided, out.RecoveryP50Ms, out.RecoveryP99Ms)
-	fmt.Fprintf(w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
+	fmt.Fprintf(e.w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
 		out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
 
 	crep := chaos.RunChurn(chaos.Options{
-		Trials: trials,
+		Trials: churnTrials,
 		Seed:   seed,
 		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
+			fmt.Fprintf(e.w, format+"\n", args...)
 		},
 	})
-	fmt.Fprint(w, crep.Summary())
+	fmt.Fprint(e.w, crep.Summary())
 	out.ChaosTrials = crep.Trials
 	out.ChaosSurvivedRuns = crep.Plans
 	out.ChaosTypedErrs = crep.TypedErrs
-	for _, v := range crep.Violations {
-		out.ChaosViolations = append(out.ChaosViolations,
-			fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
-	}
-	violations += len(crep.Violations)
+	out.ChaosViolations = chaosViolations(crep)
+	gs.check(len(crep.Violations) == 0, "%d churn chaos violations", len(crep.Violations))
 
-	f, err := os.Create(outFile)
-	if err != nil {
-		return violations, err
+	path := e.path("BENCH_churn.json")
+	if err := writeJSON(path, out); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return violations, err
-	}
-	if err := f.Close(); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "churn: report → %s\n", outFile)
-	return violations, nil
+	fmt.Fprintf(e.w, "churn: report → %s\n", path)
+	return gs.err()
 }
 
-func main() {
-	budget := flag.Duration("budget", 2*time.Second, "per-search time budget (the paper used 200s)")
-	sizes := flag.Int("sizes", 5, "how many of the 5 model sizes to run (1-5)")
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
-	benchFile := flag.String("benchfile", "BENCH_search.json", "output path for the search throughput benchmark")
-	benchReps := flag.Int("benchreps", 3, "repetitions of the search throughput benchmark")
-	guard := flag.Bool("guard", false, "with the search target: check the committed -benchfile instead of rewriting it; exit non-zero on explored drift or regression beyond the tolerances")
-	guardNsTol := flag.Float64("guard-ns-tol", 0.5, "-guard: allowed fractional ns/op regression (wall time is machine-noisy; this catches order-of-magnitude slips, not jitter)")
-	guardAllocTol := flag.Float64("guard-alloc-tol", 0.1, "-guard: allowed fractional allocs/op regression (allocation counts are near-deterministic)")
-	scaleFile := flag.String("scalefile", "BENCH_scale.json", "output path for the scale target's report")
-	scaleIters := flag.Int("scale-iters", 2, "top-level iterations per stage count for the scale target")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected targets to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-	chaosDur := flag.Duration("chaos-duration", 30*time.Second, "wall budget of the chaos target")
-	chaosTrials := flag.Int("chaos-trials", 0, "fixed trial count for the chaos target (0 = run until -chaos-duration)")
-	traceFile := flag.String("tracefile", "BENCH_trace.jsonl", "output path for the trace target's JSONL iteration trace")
-	traceIters := flag.Int("trace-iters", 4, "top-level iterations per stage count for the trace target")
-	diffFile := flag.String("difffile", "BENCH_diff.json", "output path for the diff target's report")
-	diffTrials := flag.Int("diff-trials", diffcheck.DefaultTrials, "randomized tuples per mode for the diff target")
-	diffEffectsOn := flag.Bool("diff-effects-on", false, "also run the diff target's effects-on calibration pass")
-	churnFile := flag.String("churnfile", "BENCH_churn.json", "output path for the churn target's report")
-	churnTrials := flag.Int("churn-trials", chaos.DefaultChurnTrials, "randomized chaos trials for the churn target")
-	spotFile := flag.String("spotfile", "BENCH_spot.json", "output path for the spot target's report")
-	spotTrials := flag.Int("spot-trials", chaos.DefaultSpotTrials, "randomized chaos trials for the spot target")
-	heteroFile := flag.String("heterofile", "BENCH_hetero.json", "output path for the hetero target's report")
-	heteroDiffTrials := flag.Int("hetero-diff-trials", 512, "randomized mixed-cluster tuples for the hetero target's diff slice")
-	serveFile := flag.String("servefile", "BENCH_serve.json", "output path for the serve target's report")
-	serveReqs := flag.Int("serve-requests", 1200, "load-phase requests for the serve target")
-	serveClients := flag.Int("serve-clients", 32, "concurrent client workers for the serve target")
-	flag.Parse()
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "acesobench:", err)
-			os.Exit(1)
-		}
+// runChaos runs the fault-injection harness of internal/chaos for a
+// wall budget and fails if any trial panics, returns an invalid plan,
+// or leaks a non-finite score.
+func runChaos(e *env) error {
+	dur := pick(e, 10*time.Second, 30*time.Second)
+	if e.chaosDur > 0 {
+		dur = e.chaosDur
 	}
-
-	set := exps.Settings{Budget: *budget, Sizes: *sizes, Seed: *seed}
-	targets := flag.Args()
-	if len(targets) == 0 {
-		targets = []string{"all"}
+	fmt.Fprintf(e.w, "running chaos harness (duration %v, seed %d)...\n", dur, e.set.Seed)
+	rep := chaos.Run(chaos.Options{
+		Duration: dur,
+		Seed:     e.set.Seed,
+		Log: func(format string, args ...any) {
+			fmt.Fprintf(e.w, format+"\n", args...)
+		},
+	})
+	fmt.Fprint(e.w, rep.Summary())
+	if rep.Failed() {
+		return fmt.Errorf("%d invariant violations", len(rep.Violations))
 	}
-	want := map[string]bool{}
-	for _, t := range targets {
-		want[t] = true
-	}
-	all := want["all"]
-	sel := func(names ...string) bool {
-		if all {
-			return true
-		}
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return false
-	}
-
-	w := os.Stdout
-
-	// Profiling covers everything the invocation runs. finishProfiles is
-	// idempotent and runs even on a failing target, so a profile of the
-	// run that exposed a regression is never lost.
-	var cpuF *os.File
-	profilesDone := false
-	finishProfiles := func() {
-		if profilesDone {
-			return
-		}
-		profilesDone = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "acesobench: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "acesobench: -memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}
-	fail := func(name string, err error) {
-		finishProfiles()
-		fmt.Fprintf(os.Stderr, "acesobench: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	defer finishProfiles()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail("cpuprofile", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fail("cpuprofile", err)
-		}
-		cpuF = f
-	}
-	toCSV := func(name string, write func(f io.Writer) error) {
-		if *csvDir == "" {
-			return
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
-		if err != nil {
-			fail(name, err)
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			fail(name, err)
-		}
-	}
-
-	if sel("fig1") {
-		rows := exps.Fig1(nil)
-		exps.RenderFig1(w, rows)
-		fmt.Fprintln(w)
-		toCSV("fig1.csv", func(f io.Writer) error { return exps.WriteFig1CSV(f, rows) })
-	}
-
-	if sel("fig7", "fig8", "fig15", "fig16", "tables") {
-		fmt.Fprintf(w, "running end-to-end comparison (budget %v/search, %d sizes)...\n", *budget, set.Sizes)
-		e2e, err := exps.RunE2E(set, nil)
-		if err != nil {
-			fail("e2e", err)
-		}
-		if sel("fig7") {
-			e2e.RenderFig7(w)
-			fmt.Fprintln(w)
-		}
-		if sel("fig8") {
-			e2e.RenderFig8(w)
-			fmt.Fprintln(w)
-		}
-		if sel("tables") {
-			e2e.RenderTables(w)
-			fmt.Fprintln(w)
-		}
-		if sel("fig15") {
-			e2e.RenderFig15(w)
-			fmt.Fprintln(w)
-		}
-		if sel("fig16") {
-			e2e.RenderFig16(w)
-			fmt.Fprintln(w)
-		}
-		toCSV("e2e.csv", e2e.WriteCSV)
-	}
-
-	if sel("fig9") {
-		rows, err := exps.Fig9(set, nil)
-		if err != nil {
-			fail("fig9", err)
-		}
-		exps.RenderFig9(w, rows)
-		fmt.Fprintln(w)
-		toCSV("fig9.csv", func(f io.Writer) error { return exps.WriteFig9CSV(f, rows) })
-	}
-
-	if sel("fig10") {
-		rows, err := exps.Fig10(set)
-		if err != nil {
-			fail("fig10", err)
-		}
-		exps.RenderFig10(w, rows)
-		fmt.Fprintln(w)
-		toCSV("fig10.csv", func(f io.Writer) error { return exps.WriteFig10CSV(f, rows) })
-	}
-
-	if sel("fig11") {
-		r, err := exps.Fig11(set)
-		if err != nil {
-			fail("fig11", err)
-		}
-		exps.RenderFig11(w, r)
-		fmt.Fprintln(w)
-		toCSV("fig11.csv", func(f io.Writer) error { return exps.WriteFig11CSV(f, r) })
-	}
-
-	if sel("fig12") {
-		curves, err := exps.Fig12(set)
-		if err != nil {
-			fail("fig12", err)
-		}
-		exps.RenderCurves(w, "Figure 12 (Exp#5): convergence with vs without Heuristic-2", curves)
-		fmt.Fprintln(w)
-		toCSV("fig12.csv", func(f io.Writer) error { return exps.WriteCurvesCSV(f, curves) })
-	}
-
-	if sel("fig13") {
-		curves, err := exps.Fig13(set)
-		if err != nil {
-			fail("fig13", err)
-		}
-		exps.RenderCurves(w, "Figure 13 (Exp#6): convergence under different MaxHops", curves)
-		fmt.Fprintln(w)
-		toCSV("fig13.csv", func(f io.Writer) error { return exps.WriteCurvesCSV(f, curves) })
-	}
-
-	if sel("fig14") {
-		curves, err := exps.Fig14(set)
-		if err != nil {
-			fail("fig14", err)
-		}
-		exps.RenderCurves(w, "Figure 14 (Exp#7): robustness to the initial configuration", curves)
-		fmt.Fprintln(w)
-		toCSV("fig14.csv", func(f io.Writer) error { return exps.WriteCurvesCSV(f, curves) })
-	}
-
-	if sel("ablations") {
-		rows, memRatio, err := exps.Ablations(set)
-		if err != nil {
-			fail("ablations", err)
-		}
-		exps.RenderAblations(w, rows, memRatio)
-		fmt.Fprintln(w)
-	}
-
-	if want["search"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "measuring search throughput (%d reps, fixed-iteration GPT-3 2.6B / 16 GPUs)...\n", *benchReps)
-		cur, err := runSearchBench(*benchReps)
-		if err != nil {
-			fail("search", err)
-		}
-		fmt.Fprintf(w, "search throughput: %d ns/op, %d explored, %d B/op, %d allocs/op\n",
-			cur.NsPerOp, cur.Explored, cur.BytesPerOp, cur.AllocsPerOp)
-		if *guard {
-			raw, err := os.ReadFile(*benchFile)
-			if err != nil {
-				fail("guard", fmt.Errorf("no committed benchmark to guard against: %w", err))
-			}
-			var rec searchBenchFile
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				fail("guard", err)
-			}
-			ref := rec.Current
-			switch {
-			case cur.Explored != ref.Explored:
-				fail("guard", fmt.Errorf("explored %d, recorded %d — the search is no longer bit-identical",
-					cur.Explored, ref.Explored))
-			case float64(cur.AllocsPerOp) > float64(ref.AllocsPerOp)*(1+*guardAllocTol):
-				fail("guard", fmt.Errorf("allocs/op %d exceeds recorded %d by more than %.0f%%",
-					cur.AllocsPerOp, ref.AllocsPerOp, *guardAllocTol*100))
-			case float64(cur.NsPerOp) > float64(ref.NsPerOp)*(1+*guardNsTol):
-				fail("guard", fmt.Errorf("ns/op %d exceeds recorded %d by more than %.0f%%",
-					cur.NsPerOp, ref.NsPerOp, *guardNsTol*100))
-			}
-			fmt.Fprintf(w, "guard: ok — explored matches, within %.0f%% ns/op and %.0f%% allocs/op of %s\n",
-				*guardNsTol*100, *guardAllocTol*100, *benchFile)
-		} else {
-			rec, err := emitSearchBench(*benchFile, cur)
-			if err != nil {
-				fail("search", err)
-			}
-			fmt.Fprintf(w, "baseline: %d ns/op (speedup %.2fx) — recorded in %s\n",
-				rec.Baseline.NsPerOp, rec.Speedup, *benchFile)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["scale"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running scale benchmark (%d points up to 4096 devices / 10240 ops, %d iterations, seed %d)...\n",
-			len(scalePoints), *scaleIters, *seed)
-		drift, err := runScaleBench(*scaleFile, *scaleIters, *seed, w)
-		if err != nil {
-			fail("scale", err)
-		}
-		if drift > 0 {
-			fail("scale", fmt.Errorf("%d rows drifted from the recorded explored counts", drift))
-		}
-		fmt.Fprintln(w)
-	}
-
-	if sel("cases") {
-		cases, err := exps.Cases(set)
-		if err != nil {
-			fail("cases", err)
-		}
-		exps.RenderCases(w, cases)
-		fmt.Fprintln(w)
-	}
-
-	if want["trace"] { // deliberately not part of "all"
-		summaryFile := strings.TrimSuffix(*traceFile, filepath.Ext(*traceFile)) + ".json"
-		fmt.Fprintf(w, "running traced search (%d iterations/stage-count, seed %d)...\n",
-			*traceIters, *seed)
-		if err := runTrace(*traceFile, summaryFile, *traceIters, *seed, w); err != nil {
-			fail("trace", err)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["diff"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running differential validation (%d trials/mode, seed %d, effects-on pass: %v)...\n",
-			*diffTrials, *seed, *diffEffectsOn)
-		violations, err := runDiff(*diffFile, *diffTrials, *seed, *diffEffectsOn, w)
-		if err != nil {
-			fail("diff", err)
-		}
-		if violations > 0 {
-			fail("diff", fmt.Errorf("%d invariant violations (repro files written)", violations))
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["hetero"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running heterogeneous planning case study (+%d mixed-cluster diff trials, seed %d)...\n",
-			*heteroDiffTrials, *seed)
-		if err := runHeteroBench(*heteroFile, *guard, *heteroDiffTrials, *seed, w); err != nil {
-			fail("hetero", err)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["churn"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running continuous-churn benchmark (+%d chaos trials, seed %d)...\n",
-			*churnTrials, *seed)
-		violations, err := runChurnBench(*churnFile, *churnTrials, *seed, w)
-		if err != nil {
-			fail("churn", err)
-		}
-		if violations > 0 {
-			fail("churn", fmt.Errorf("%d invariant violations", violations))
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["spot"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running spot-capacity benchmark (+%d chaos trials, seed %d)...\n",
-			*spotTrials, *seed)
-		violations, err := runSpotBench(*spotFile, *spotTrials, *seed, w)
-		if err != nil {
-			fail("spot", err)
-		}
-		if violations > 0 {
-			fail("spot", fmt.Errorf("%d gate violations", violations))
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["serve"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running serve load benchmark (%d requests, %d clients)...\n",
-			*serveReqs, *serveClients)
-		violations, err := runServeBench(*serveFile, *serveReqs, *serveClients, w)
-		if err != nil {
-			fail("serve", err)
-		}
-		if violations > 0 {
-			fail("serve", fmt.Errorf("%d gate violations", violations))
-		}
-		fmt.Fprintln(w)
-	}
-
-	if want["chaos"] { // deliberately not part of "all"
-		dur := *chaosDur
-		if *chaosTrials > 0 {
-			dur = 0
-		}
-		fmt.Fprintf(w, "running chaos harness (duration %v, trials %d, seed %d)...\n",
-			dur, *chaosTrials, *seed)
-		rep := chaos.Run(chaos.Options{
-			Trials:   *chaosTrials,
-			Duration: dur,
-			Seed:     *seed,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(w, format+"\n", args...)
-			},
-		})
-		fmt.Fprint(w, rep.Summary())
-		if rep.Failed() {
-			fail("chaos", fmt.Errorf("%d invariant violations", len(rep.Violations)))
-		}
-	}
+	return nil
 }

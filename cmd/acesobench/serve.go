@@ -3,8 +3,8 @@ package main
 // The serve target load-tests the planserver the way production
 // traffic would hit acesod: thousands of concurrent plan requests over
 // real HTTP against a mixed model zoo, plus dedicated overload, drain,
-// and cache-correctness phases. It writes BENCH_serve.json and exits
-// non-zero when a gate fails:
+// and cache-correctness phases. It writes BENCH_serve.json and fails
+// when a gate fails:
 //
 //   - any transport or unexpected-status error during the load phase
 //   - cache hit rate of 0 on the repeated-request mix
@@ -21,7 +21,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -157,15 +156,12 @@ type serveBenchFile struct {
 	Metrics *obs.Registry `json:"metrics"`
 }
 
-// runServeBench executes the four phases and writes the report.
-// Returns the number of gate violations.
-func runServeBench(file string, requests, clients int, w io.Writer) (int, error) {
-	if requests < 1 {
-		requests = 1
-	}
-	if clients < 1 {
-		clients = 1
-	}
+// runServeBench executes the four phases, writes the report and
+// returns its failed gates.
+func runServeBench(e *env) error {
+	const requests, clients = serveRequests, serveClients
+	w := e.w
+	fmt.Fprintf(w, "running serve load benchmark (%d requests, %d clients)...\n", requests, clients)
 	zoo := serveZoo()
 	reg := obs.NewRegistry()
 	srv := planserver.New(planserver.Config{
@@ -184,13 +180,7 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 	rep.Requests = requests
 	rep.Clients = clients
 	rep.Metrics = reg
-	violations := 0
-	gate := func(ok bool, format string, args ...any) {
-		if !ok {
-			violations++
-			fmt.Fprintf(w, "serve: GATE FAILED: "+format+"\n", args...)
-		}
-	}
+	var gs gates
 
 	// Phase 0 — sequential warm probe: seed the healthy plan, then the
 	// degraded variant must warm-start from it.
@@ -200,10 +190,10 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 		}
 		code, out, err := planPost(client, ts.URL, it.req)
 		if err != nil || code != http.StatusOK {
-			return violations, fmt.Errorf("seed %s: status %d err %v", it.name, code, err)
+			return fmt.Errorf("seed %s: status %d err %v", it.name, code, err)
 		}
 		if out.Cache != "miss" {
-			return violations, fmt.Errorf("seed %s: cache %q, want miss", it.name, out.Cache)
+			return fmt.Errorf("seed %s: cache %q, want miss", it.name, out.Cache)
 		}
 	}
 	for _, it := range zoo {
@@ -212,10 +202,10 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 		}
 		code, out, err := planPost(client, ts.URL, it.req)
 		if err != nil || code != http.StatusOK {
-			return violations, fmt.Errorf("warm probe %s: status %d err %v", it.name, code, err)
+			return fmt.Errorf("warm probe %s: status %d err %v", it.name, code, err)
 		}
 		rep.WarmObserved = out.Cache == "warm"
-		gate(rep.WarmObserved, "degraded near-miss served as %q, want warm", out.Cache)
+		gs.check(rep.WarmObserved, "degraded near-miss served as %q, want warm", out.Cache)
 	}
 
 	// Phase 1 — concurrent load over the zoo. Every plan is now cached,
@@ -280,11 +270,11 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 			rep.CacheMisses++
 		}
 	}
-	gate(rep.Errors == 0, "%d/%d load-phase requests failed", rep.Errors, requests)
+	gs.check(rep.Errors == 0, "%d/%d load-phase requests failed", rep.Errors, requests)
 	if rep.Served > 0 {
 		rep.HitRate = float64(rep.CacheHits) / float64(rep.Served)
 	}
-	gate(rep.HitRate > 0, "cache hit rate 0 on repeated-request mix")
+	gs.check(rep.HitRate > 0, "cache hit rate 0 on repeated-request mix")
 	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 	rep.P50MS = percentile(lat, 0.50).Seconds() * 1e3
 	rep.P95MS = percentile(lat, 0.95).Seconds() * 1e3
@@ -334,8 +324,8 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 			rep.Overload.Errors++
 		}
 	}
-	gate(rep.Overload.Shed > 0, "overload shed nothing (%d served, %d errors)", rep.Overload.Served, rep.Overload.Errors)
-	gate(rep.Overload.Errors == 0, "%d overload requests errored", rep.Overload.Errors)
+	gs.check(rep.Overload.Shed > 0, "overload shed nothing (%d served, %d errors)", rep.Overload.Served, rep.Overload.Errors)
+	gs.check(rep.Overload.Errors == 0, "%d overload requests errored", rep.Overload.Errors)
 	fmt.Fprintf(w, "serve: overload — %d served, %d shed (429), %d errors\n",
 		rep.Overload.Served, rep.Overload.Shed, rep.Overload.Errors)
 
@@ -375,8 +365,8 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 			rep.Drain.Dropped++
 		}
 	}
-	gate(rep.Drain.Dropped == 0, "%d requests dropped across drain", rep.Drain.Dropped)
-	gate(rep.Drain.Completed > 0, "drain admitted nothing; nothing was in flight")
+	gs.check(rep.Drain.Dropped == 0, "%d requests dropped across drain", rep.Drain.Dropped)
+	gs.check(rep.Drain.Completed > 0, "drain admitted nothing; nothing was in flight")
 	fmt.Fprintf(w, "serve: drain — %d completed, %d rejected (503), %d dropped\n",
 		rep.Drain.Completed, rep.Drain.RejectedDraining, rep.Drain.Dropped)
 
@@ -393,29 +383,25 @@ func runServeBench(file string, requests, clients int, w io.Writer) (int, error)
 		}
 		code, cached, err := planPost(client, ts.URL, it.req)
 		if err != nil || code != http.StatusOK || cached.Cache != "hit" {
-			return violations, fmt.Errorf("identity %s: cached fetch status %d cache %q err %v", it.name, code, cached.Cache, err)
+			return fmt.Errorf("identity %s: cached fetch status %d cache %q err %v", it.name, code, cached.Cache, err)
 		}
 		fcode, fresh, err := planPost(freshTS.Client(), freshTS.URL, it.req)
 		if err != nil || fcode != http.StatusOK {
-			return violations, fmt.Errorf("identity %s: fresh search status %d err %v", it.name, fcode, err)
+			return fmt.Errorf("identity %s: fresh search status %d err %v", it.name, fcode, err)
 		}
 		rep.CacheIdentity.KeysChecked++
 		if !bytes.Equal(cached.Plan, fresh.Plan) {
 			rep.CacheIdentity.Identical = false
-			gate(false, "cached plan for %s differs from fresh search (key %s)", it.name, cached.Key)
+			gs.check(false, "cached plan for %s differs from fresh search (key %s)", it.name, cached.Key)
 		}
 	}
 	fmt.Fprintf(w, "serve: cache identity — %d keys checked, identical=%v\n",
 		rep.CacheIdentity.KeysChecked, rep.CacheIdentity.Identical)
 
-	raw, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return violations, err
+	path := e.path("BENCH_serve.json")
+	if err := writeJSON(path, &rep); err != nil {
+		return err
 	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(file, raw, 0o644); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "serve: report written to %s\n", file)
-	return violations, nil
+	fmt.Fprintf(w, "serve: report written to %s\n", path)
+	return gs.err()
 }

@@ -1,12 +1,11 @@
 package main
 
-// The "spot" target (not part of "all") is the spot-capacity case
-// study: risk-aware planning against a mixed reserved/spot fleet, a
+// The "spot" target is the spot-capacity case study: risk-aware planning against a mixed reserved/spot fleet, a
 // deterministic replayed preemption trace driven twice through the
 // churn supervisor — once risk-aware (notices honored, Young–Daly
 // cadence), once risk-blind (same reclaim instants, no notices, sparse
 // checkpoints) — and the randomized spot chaos pass. It writes
-// BENCH_spot.json and exits non-zero unless the risk-aware run achieves
+// BENCH_spot.json and fails unless the risk-aware run achieves
 // at least spotSpeedupGate× the risk-blind run's *achieved* throughput
 // (steps per unit of wall work, counting re-executed iterations,
 // checkpoint overhead and recovery stalls — not the nominal iteration
@@ -14,15 +13,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"os"
 	"time"
 
 	"aceso/internal/chaos"
-	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/elastic"
 	"aceso/internal/hardware"
@@ -30,7 +25,6 @@ import (
 	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 	art "aceso/internal/runtime"
-	"aceso/internal/tensor"
 )
 
 // spotSpeedupGate is the acceptance floor on achieved-throughput
@@ -171,14 +165,16 @@ func spotStats(rep *elastic.ChurnReport, cadence, iters int) spotReplayStats {
 	}
 }
 
-// runSpotBench runs the spot case study and returns the number of gate
-// violations.
-func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, error) {
+// runSpotBench runs the spot case study, writes BENCH_spot.json and
+// returns its failed gates.
+func runSpotBench(e *env) error {
+	seed := e.set.Seed
+	fmt.Fprintf(e.w, "running spot-capacity benchmark (+%d chaos trials, seed %d)...\n", spotTrials, seed)
 	// --- Planner slice -------------------------------------------------
 	// GPT-3 350M on 8 reserved + 8 spot V100s, spot reclaimed 6×/hour.
 	gSearch, err := model.GPT3("350M")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	spotCl := hardware.ReservedSpotV100(8, 1, 1, 6, 120)
 	opts := core.Options{
@@ -189,10 +185,10 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 	}
 	aware, err := core.Search(gSearch, spotCl, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !aware.Best.Estimate.Feasible {
-		return 0, fmt.Errorf("risk-aware search found no feasible plan")
+		return fmt.Errorf("risk-aware search found no feasible plan")
 	}
 	awareExpected, _ := core.RiskAssess(&spotCl, aware.Best.Config, aware.Best.Estimate.IterTime, opts)
 
@@ -201,7 +197,7 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 	blindCl := spotCl.StripHazard()
 	blindRes, err := core.Search(gSearch, blindCl, opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	blindNominal, blindExpected := 0.0, 0.0
 	for _, cand := range append([]core.Candidate{blindRes.Best}, blindRes.TopK...) {
@@ -214,57 +210,27 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 		}
 	}
 	if blindExpected == 0 {
-		return 0, fmt.Errorf("no risk-blind plan is feasible; the comparison is vacuous")
+		return fmt.Errorf("no risk-blind plan is feasible; the comparison is vacuous")
 	}
 
-	violations := 0
-	if aware.RecommendedCadence <= 0 {
-		violations++
-		fmt.Fprintf(w, "spot: no recommended cadence on a hazardous fleet\n")
-	}
-	if awareExpected > blindExpected*(1+1e-9) {
-		violations++
-		fmt.Fprintf(w, "spot: risk-aware expected %.6fs worse than re-priced risk-blind %.6fs\n",
-			awareExpected, blindExpected)
-	}
-	fmt.Fprintf(w, "spot: planner: aware %.4fs nominal / %.4fs expected (cadence %d, explored %d); blind %.4fs nominal / %.4fs expected (explored %d)\n",
+	var gs gates
+	gs.check(aware.RecommendedCadence > 0, "no recommended cadence on a hazardous fleet")
+	gs.check(awareExpected <= blindExpected*(1+1e-9), "risk-aware expected %.6fs worse than re-priced risk-blind %.6fs",
+		awareExpected, blindExpected)
+	fmt.Fprintf(e.w, "spot: planner: aware %.4fs nominal / %.4fs expected (cadence %d, explored %d); blind %.4fs nominal / %.4fs expected (explored %d)\n",
 		aware.Best.Estimate.IterTime, awareExpected, aware.RecommendedCadence, aware.Explored,
 		blindNominal, blindExpected, blindRes.Explored)
 
 	// --- Replay slice --------------------------------------------------
-	// Same MLP fleet as the churn bench: 8 emulated V100s, 2 nodes.
+	// The churn bench's emulated MLP fleet: 8 emulated V100s, 2 nodes.
 	const (
-		layers, dim, batch = 6, 16, 32
-		iters              = 32
-		lr                 = 0.05
-		blindCadence       = 8
+		iters        = 32
+		lr           = 0.05
+		blindCadence = 8
 	)
-	g, err := model.MLP(layers, dim, batch)
+	f, err := emulatedFleet(seed)
 	if err != nil {
-		return violations, err
-	}
-	cfg, err := config.Balanced(g, 8, 2, 8)
-	if err != nil {
-		return violations, err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 2}
-		}
-	}
-	cl := hardware.DGX1V100(2)
-	cl.DevicesPerNode = 4
-	if err := cl.Validate(); err != nil {
-		return violations, err
-	}
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return violations, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x, y := tensor.New(batch, dim), tensor.New(batch, dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
+		return err
 	}
 
 	// The aware cadence is the Young–Daly recommendation for the
@@ -279,7 +245,7 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		p := art.InitParams(g, seed)
+		p := art.InitParams(f.g, seed)
 		p.Opt = art.Adam
 		sopt := elastic.SuperviseOptions{
 			Options: elastic.Options{
@@ -298,65 +264,50 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 			sopt.CheckpointCost = 1
 			sopt.Metrics = reg
 		}
-		return elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, iters,
+		return elastic.Supervise(context.Background(), f.g, f.cl, f.cfg, p, f.x, f.y, iters,
 			spotEvents(aware), sopt)
 	}
 
 	awareRep, err := run(true)
 	if err != nil {
-		return violations, fmt.Errorf("aware replay: %w", err)
+		return fmt.Errorf("aware replay: %w", err)
 	}
 	blindRep, err := run(false)
 	if err != nil {
-		return violations, fmt.Errorf("blind replay: %w", err)
+		return fmt.Errorf("blind replay: %w", err)
 	}
 
 	awareStats := spotStats(awareRep, awareCadence, iters)
 	blindStats := spotStats(blindRep, blindCadence, iters)
 	speedup := awareStats.AchievedThroughput / blindStats.AchievedThroughput
 
-	if awareRep.FinalStep != iters || blindRep.FinalStep != iters {
-		violations++
-		fmt.Fprintf(w, "spot: replay incomplete: aware %d, blind %d, want %d\n",
-			awareRep.FinalStep, blindRep.FinalStep, iters)
-	}
-	if awareRep.StepsLost != 0 {
-		violations++
-		fmt.Fprintf(w, "spot: aware replay lost %d steps; covered notices must drain losslessly\n",
-			awareRep.StepsLost)
-	}
-	if awareRep.CleanDrains != len(spotTrace) || awareRep.NoticesMissed != 0 {
-		violations++
-		fmt.Fprintf(w, "spot: aware replay drains %d/%d clean (%d missed)\n",
-			awareRep.CleanDrains, len(spotTrace), awareRep.NoticesMissed)
-	}
-	if blindRep.StepsLost == 0 {
-		violations++
-		fmt.Fprintf(w, "spot: blind replay lost no steps; the trace exercises nothing\n")
-	}
-	if speedup < spotSpeedupGate {
-		violations++
-		fmt.Fprintf(w, "spot: achieved speedup %.3fx < gate %.1fx\n", speedup, spotSpeedupGate)
-	}
-	fmt.Fprintf(w, "spot: replay: aware %.4f steps/iter-time (lost %d, %d clean drains, cadence %d) vs blind %.4f (lost %d, %d faults, cadence %d): %.3fx achieved speedup (gate %.1fx)\n",
+	gs.check(awareRep.FinalStep == iters && blindRep.FinalStep == iters, "replay incomplete: aware %d, blind %d, want %d",
+		awareRep.FinalStep, blindRep.FinalStep, iters)
+	gs.check(awareRep.StepsLost == 0, "aware replay lost %d steps; covered notices must drain losslessly",
+		awareRep.StepsLost)
+	gs.check(awareRep.CleanDrains == len(spotTrace) && awareRep.NoticesMissed == 0, "aware replay drains %d/%d clean (%d missed)",
+		awareRep.CleanDrains, len(spotTrace), awareRep.NoticesMissed)
+	gs.check(blindRep.StepsLost > 0, "blind replay lost no steps; the trace exercises nothing")
+	gs.check(speedup >= spotSpeedupGate, "achieved speedup %.3fx < gate %.1fx", speedup, spotSpeedupGate)
+	fmt.Fprintf(e.w, "spot: replay: aware %.4f steps/iter-time (lost %d, %d clean drains, cadence %d) vs blind %.4f (lost %d, %d faults, cadence %d): %.3fx achieved speedup (gate %.1fx)\n",
 		awareStats.AchievedThroughput, awareRep.StepsLost, awareRep.CleanDrains, awareCadence,
 		blindStats.AchievedThroughput, blindRep.StepsLost, blindRep.FaultsDetected, blindCadence,
 		speedup, spotSpeedupGate)
 
 	// --- Chaos slice ---------------------------------------------------
 	crep := chaos.RunSpot(chaos.Options{
-		Trials: trials,
+		Trials: spotTrials,
 		Seed:   seed,
 		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
+			fmt.Fprintf(e.w, format+"\n", args...)
 		},
 	})
-	fmt.Fprint(w, crep.Summary())
-	violations += len(crep.Violations)
+	fmt.Fprint(e.w, crep.Summary())
+	gs.check(len(crep.Violations) == 0, "%d spot chaos violations", len(crep.Violations))
 
 	out := spotBenchFile{
-		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: MLP(%d layers, dim %d, batch %d) on 8 emulated V100s, %d-reclaim trace over %d iterations, seed %d",
-			layers, dim, batch, len(spotTrace), iters, seed),
+		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: MLP(6 layers, dim 16, batch 32) on 8 emulated V100s, %d-reclaim trace over %d iterations, seed %d",
+			len(spotTrace), iters, seed),
 		Seed:                  seed,
 		AwareNominalIterTime:  aware.Best.Estimate.IterTime,
 		AwareExpectedIterTime: awareExpected,
@@ -375,26 +326,13 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 		ChaosTrials:           crep.Trials,
 		ChaosSurvivedRuns:     crep.Plans,
 		ChaosTypedErrs:        crep.TypedErrs,
+		ChaosViolations:       chaosViolations(crep),
 		Metrics:               reg,
 	}
-	for _, v := range crep.Violations {
-		out.ChaosViolations = append(out.ChaosViolations,
-			fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
+	path := e.path("BENCH_spot.json")
+	if err := writeJSON(path, out); err != nil {
+		return err
 	}
-
-	f, err := os.Create(outFile)
-	if err != nil {
-		return violations, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return violations, err
-	}
-	if err := f.Close(); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "spot: report → %s\n", outFile)
-	return violations, nil
+	fmt.Fprintf(e.w, "spot: report → %s\n", path)
+	return gs.err()
 }

@@ -8,7 +8,7 @@ import (
 	"aceso/internal/elastic"
 )
 
-// TestRunChurnClean is the churn-smoke gate: a batch of randomized
+// TestRunChurnClean is the churn chaos gate of go test: a batch of randomized
 // continuous-churn trials — streams of preemptions, re-additions and
 // derates through elastic.Supervise — must complete with zero
 // invariant violations.

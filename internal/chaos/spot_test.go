@@ -7,7 +7,7 @@ import (
 	"aceso/internal/elastic"
 )
 
-// TestRunSpotClean is the spot-smoke gate: a batch of randomized
+// TestRunSpotClean is the spot chaos gate of go test: a batch of randomized
 // Poisson-hazard preemption streams — noticed and unnoticed reclaims
 // through elastic.Supervise's drain machinery — must complete with zero
 // invariant violations.

@@ -8,9 +8,9 @@ import (
 
 // OpSplitWeighted partitions the model's operators into len(weights)
 // contiguous ranges whose forward FLOPs are proportional to the
-// weights: stage s targets the fraction weights[s]/Σweights. With
-// uniform weights it reduces exactly to OpSplit. Every range is
-// non-empty; non-positive weights are treated as a minimal share.
+// weights: stage s targets the fraction weights[s]/Σweights. OpSplit
+// is the uniform-weight case. Every range is non-empty; non-positive
+// weights are treated as a minimal share.
 func OpSplitWeighted(g *model.Graph, weights []float64) ([][2]int, error) {
 	n := len(g.Ops)
 	stages := len(weights)
@@ -18,24 +18,21 @@ func OpSplitWeighted(g *model.Graph, weights []float64) ([][2]int, error) {
 		return nil, fmt.Errorf("config: cannot split %d ops into %d stages", n, stages)
 	}
 	w := make([]float64, stages)
-	var totalW float64
 	for s, v := range weights {
 		if v <= 0 {
 			v = 1e-9
 		}
 		w[s] = v
-		totalW += v
-	}
-	if totalW <= 0 {
-		return OpSplit(g, stages)
 	}
 	prefix := make([]float64, n+1)
 	for i := range g.Ops {
 		prefix[i+1] = prefix[i] + g.Ops[i].FwdFLOPs
 	}
 	// Suffix weight sums: restWeight[s] = Σ_{k ≥ s} w[k], so the target
-	// for stage s is its share of the *remaining* FLOPs — the same
-	// rebalancing-as-we-go scheme OpSplit uses with uniform shares.
+	// for stage s is its share of the *remaining* FLOPs, rebalancing as
+	// it goes. With unit weights w[s] and restWeight[s] = stages-s are
+	// exact in float64, so the target is bit-identical to an even
+	// 1/(stages-s) share.
 	restWeight := make([]float64, stages+1)
 	for s := stages - 1; s >= 0; s-- {
 		restWeight[s] = restWeight[s+1] + w[s]
@@ -49,12 +46,15 @@ func OpSplitWeighted(g *model.Graph, weights []float64) ([][2]int, error) {
 		}
 		target := prefix[start] + (prefix[n]-prefix[start])*w[s]/restWeight[s]
 		end := start + 1
+		// Advance while adding the next op keeps us closer to target,
+		// but leave at least one op per remaining stage.
 		maxEnd := n - (stages - s - 1)
 		for end < maxEnd {
 			if prefix[end]-target < target-prefix[end] { // end is left of target
 				end++
 				continue
 			}
+			// Crossing the target: keep whichever boundary is closer.
 			if prefix[end]-target > target-prefix[end-1] && end-1 > start {
 				end--
 			}
@@ -75,8 +75,11 @@ func OpSplitWeighted(g *model.Graph, weights []float64) ([][2]int, error) {
 // lands on — devScale[d] is device d's throughput relative to the best
 // class (hardware.DeviceFLOPSScale), so fast classes attract
 // compute-heavy stages from the very first candidate. Devices beyond
-// len(devScale) count as full-speed. With uniform scales the result is
-// identical to Balanced.
+// len(devScale) count as full-speed. With uniform scales a stage's
+// weight is its device count, so the result equals Balanced only when
+// DeviceSplit is even: GPT-3 2.6B on 16 devices in 3 stages splits as
+// 4,4,8, and the 8-device stage takes half the FLOPs instead of a
+// third.
 func CapacityBalanced(devScale []float64) func(g *model.Graph, totalDevices, stages, microBatch int) (*Config, error) {
 	return RiskBalanced(devScale, nil)
 }

@@ -46,46 +46,17 @@ func DeviceSplit(total, stages int) ([]int, error) {
 }
 
 // OpSplit partitions the model's operators into `stages` contiguous
-// ranges with near-equal forward FLOPs. Every range is non-empty.
+// ranges with near-equal forward FLOPs: OpSplitWeighted with uniform
+// weights. Every range is non-empty.
 func OpSplit(g *model.Graph, stages int) ([][2]int, error) {
-	n := len(g.Ops)
-	if stages <= 0 || n < stages {
-		return nil, fmt.Errorf("config: cannot split %d ops into %d stages", n, stages)
+	if stages <= 0 {
+		return nil, fmt.Errorf("config: cannot split %d ops into %d stages", len(g.Ops), stages)
 	}
-	prefix := make([]float64, n+1)
-	for i := range g.Ops {
-		prefix[i+1] = prefix[i] + g.Ops[i].FwdFLOPs
+	ones := make([]float64, stages)
+	for s := range ones {
+		ones[s] = 1
 	}
-	out := make([][2]int, 0, stages)
-	start := 0
-	for s := 0; s < stages; s++ {
-		if s == stages-1 {
-			out = append(out, [2]int{start, n})
-			break
-		}
-		target := prefix[start] + (prefix[n]-prefix[start])/float64(stages-s)
-		end := start + 1
-		// Advance while adding the next op keeps us closer to target,
-		// but leave at least one op per remaining stage.
-		maxEnd := n - (stages - s - 1)
-		for end < maxEnd {
-			if prefix[end]-target < target-prefix[end] { // end is left of target
-				end++
-				continue
-			}
-			// Crossing the target: keep whichever boundary is closer.
-			if prefix[end]-target > target-prefix[end-1] && end-1 > start {
-				end--
-			}
-			break
-		}
-		if end > maxEnd {
-			end = maxEnd
-		}
-		out = append(out, [2]int{start, end})
-		start = end
-	}
-	return out, nil
+	return OpSplitWeighted(g, ones)
 }
 
 // Balanced builds the paper's default initial configuration: FLOPs-

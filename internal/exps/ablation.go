@@ -9,6 +9,7 @@ import (
 	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/tablefmt"
 )
 
@@ -64,7 +65,7 @@ func Fig11(set Settings) (*Fig11Result, error) {
 		{"t5", "770M", 4},
 	}
 	for _, tc := range cases {
-		g, err := buildModel(tc.family, tc.size)
+		g, err := model.ByName(tc.family, tc.size)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +137,7 @@ func sampleCurve(points []core.ConvergencePoint, budget time.Duration, samples i
 
 // convergenceRun executes one trace-collected search and samples it.
 func convergenceRun(family, size string, gpus int, set Settings, label string, samples int, mut func(*core.Options)) (Curve, error) {
-	g, err := buildModel(family, size)
+	g, err := model.ByName(family, size)
 	if err != nil {
 		return Curve{}, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"aceso/internal/core"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/pipesim"
 	"aceso/internal/tablefmt"
 )
@@ -26,7 +27,7 @@ type AblationRow struct {
 // Eq. 1's scheduling premise.
 func Ablations(set Settings) ([]AblationRow, float64, error) {
 	set = set.withDefaults()
-	g, err := buildModel("gpt3", "1.3B")
+	g, err := model.GPT3("1.3B")
 	if err != nil {
 		return nil, 0, err
 	}

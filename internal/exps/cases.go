@@ -7,6 +7,7 @@ import (
 
 	"aceso/internal/config"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 )
 
 // CaseStudy is the §5.4 qualitative analysis of one found config.
@@ -24,7 +25,7 @@ func Cases(set Settings) ([]CaseStudy, error) {
 	var out []CaseStudy
 
 	{
-		g, err := buildModel("gpt3", "1.3B")
+		g, err := model.GPT3("1.3B")
 		if err != nil {
 			return nil, err
 		}
@@ -37,7 +38,7 @@ func Cases(set Settings) ([]CaseStudy, error) {
 		out = append(out, cs)
 	}
 	{
-		g, err := buildModel("wresnet", "6.8B")
+		g, err := model.WideResNet("6.8B")
 		if err != nil {
 			return nil, err
 		}

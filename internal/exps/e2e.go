@@ -8,6 +8,7 @@ import (
 	"aceso/internal/baselines/alpa"
 	"aceso/internal/baselines/megatron"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/tablefmt"
 )
 
@@ -53,9 +54,9 @@ type E2E struct {
 
 // familySizes maps families to their Table 2 size labels.
 var familySizes = map[string][]string{
-	"gpt3":    {"350M", "1.3B", "2.6B", "6.7B", "13B"},
-	"t5":      {"770M", "3B", "6B", "11B", "22B"},
-	"wresnet": {"0.5B", "2B", "4B", "6.8B", "13B"},
+	"gpt3":    model.GPT3Sizes,
+	"t5":      model.T5Sizes,
+	"wresnet": model.WideResNetSizes,
 }
 
 // E2EFamilies is the canonical family order of Figure 7.
@@ -75,7 +76,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 	for _, fam := range families {
 		sizes, ok := familySizes[fam]
 		if !ok {
-			return nil, errUnknownFamily(fam)
+			return nil, fmt.Errorf("exps: unknown model family %q (want gpt3, t5 or wresnet)", fam)
 		}
 		for si := 0; si < set.Sizes; si++ {
 			size := sizes[si]
@@ -86,7 +87,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 			}
 			out.Cells = append(out.Cells, *cell)
 			if _, ok := out.batches[fam]; !ok {
-				g, _ := buildModel(fam, size)
+				g, _ := model.ByName(fam, size)
 				out.batches[fam] = g.GlobalBatch
 			}
 		}
@@ -95,7 +96,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 }
 
 func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
-	g, err := buildModel(fam, size)
+	g, err := model.ByName(fam, size)
 	if err != nil {
 		return nil, err
 	}

@@ -50,29 +50,6 @@ func (s Settings) withDefaults() Settings {
 // for the five model sizes.
 var GPUsForSize = []int{1, 4, 8, 16, 32}
 
-// buildModel dispatches the Table 2 model families.
-func buildModel(family, size string) (*model.Graph, error) {
-	switch family {
-	case "gpt3":
-		return model.GPT3(size)
-	case "t5":
-		return model.T5(size)
-	case "wresnet":
-		return model.WideResNet(size)
-	}
-	return nil, errUnknownFamily(family)
-}
-
-func errUnknownFamily(f string) error {
-	return &unknownFamilyError{f}
-}
-
-type unknownFamilyError struct{ f string }
-
-func (e *unknownFamilyError) Error() string {
-	return "exps: unknown model family " + e.f + " (want gpt3, t5 or wresnet)"
-}
-
 // AcesoRun is the outcome of one Aceso search plus the §5.1 protocol
 // of executing the top-5 candidates and keeping the fastest.
 type AcesoRun struct {

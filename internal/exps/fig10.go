@@ -6,6 +6,7 @@ import (
 
 	"aceso/internal/baselines/dpsearch"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/tablefmt"
 )
 
@@ -34,7 +35,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 	}
 	var out []Fig10Row
 	for _, tc := range cases {
-		g, err := buildModel("gpt3", tc.size)
+		g, err := model.GPT3(tc.size)
 		if err != nil {
 			return nil, err
 		}

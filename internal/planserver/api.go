@@ -22,7 +22,8 @@ import (
 // ModelSpec names a model-zoo builder plus its parameters. Exactly the
 // fields the named family reads are consulted; the rest are ignored.
 type ModelSpec struct {
-	// Family selects the builder: gpt3 | t5 | wideresnet | llama |
+	// Family selects the builder: the sized families of model.ByName
+	// (gpt3 | t5 | wideresnet, also spelled wresnet | llama) or one of
 	// deep | tinygpt | mlp | mlpnorm | uniform.
 	Family string `json:"family"`
 	// Size is the named scale for gpt3/t5/wideresnet/llama
@@ -47,14 +48,6 @@ type ModelSpec struct {
 // Build constructs the model graph the spec describes.
 func (m *ModelSpec) Build() (*model.Graph, error) {
 	switch m.Family {
-	case "gpt3":
-		return model.GPT3(m.Size)
-	case "t5":
-		return model.T5(m.Size)
-	case "wideresnet":
-		return model.WideResNet(m.Size)
-	case "llama":
-		return model.Llama(m.Size)
 	case "deep":
 		return model.DeepTransformer(m.Layers)
 	case "tinygpt":
@@ -75,7 +68,7 @@ func (m *ModelSpec) Build() (*model.Graph, error) {
 	case "":
 		return nil, fmt.Errorf("planserver: model.family is required")
 	default:
-		return nil, fmt.Errorf("planserver: unknown model family %q", m.Family)
+		return model.ByName(m.Family, m.Size)
 	}
 }
 

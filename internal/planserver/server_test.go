@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aceso/internal/plancache"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -384,6 +386,24 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestWideResNetSpellingsShareGraph pins that the daemon's historical
+// "wideresnet" and the CLI's "wresnet" name one family: both build the
+// same graph, so they share plan-cache entries.
+func TestWideResNetSpellingsShareGraph(t *testing.T) {
+	var hashes []uint64
+	for _, family := range []string{"wideresnet", "wresnet"} {
+		spec := ModelSpec{Family: family, Size: "0.5B"}
+		g, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", family, err)
+		}
+		hashes = append(hashes, plancache.GraphHash(g))
+	}
+	if hashes[0] != hashes[1] {
+		t.Errorf("graph hashes differ: wideresnet %x, wresnet %x", hashes[0], hashes[1])
 	}
 }
 
