@@ -3,6 +3,7 @@ package aceso
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,54 @@ func TestSearchExploredPinnedAcrossGOMAXPROCS(t *testing.T) {
 		}
 		if res.Explored != want {
 			t.Errorf("GOMAXPROCS=%d: explored %d, want %d", procs, res.Explored, want)
+		}
+	}
+}
+
+// TestSearchPanelPinned pins every seed of the perfbench search panel
+// (GPT-3 2.6B on DGX1V100(2), MaxIterations=4) to its explored count
+// and to the Hash of its best plan and of each top-K entry. Score ties
+// are broken by Hash order, so a change to that order — or to which
+// configs count as duplicates — moves these values even where the
+// explored count of one seed would not.
+func TestSearchPanelPinned(t *testing.T) {
+	panel := []struct {
+		seed     int64
+		explored int
+		best     uint64
+		topK     []uint64
+	}{
+		{1, 24701, 0xea0aef36cba68034, []uint64{0xea0aef36cba68034, 0x2c7307379474f2f7, 0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f}},
+		{6, 25912, 0x40b0aadf984bc635, []uint64{0x40b0aadf984bc635, 0xbb51a6f7f364e0c, 0x864e0edff3ce4d81, 0x338781a19c88a369, 0x7c27b3abeeae5a2a}},
+		{8, 25840, 0x1a322156c74a002b, []uint64{0x1a322156c74a002b, 0xedaba143de127c4, 0xbf451415d7ecfc8e, 0xa6dd85746a761ab3, 0x7c27b3abeeae5a2a}},
+		{9, 26303, 0xa6dd85746a761ab3, []uint64{0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f, 0xe8ce011dd1559cc3, 0xdb31d23ffa5c06ca}},
+		{10, 26146, 0xeafb895282236682, []uint64{0xeafb895282236682, 0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f, 0xe8ce011dd1559cc3}},
+		{19, 25559, 0xa821580380969a59, []uint64{0xa821580380969a59, 0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f, 0xe8ce011dd1559cc3}},
+		{21, 25383, 0xa6dd85746a761ab3, []uint64{0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f, 0xe8ce011dd1559cc3, 0x65fa738bcfc355b8}},
+		{25, 26101, 0x5d3b8719d71f1215, []uint64{0x5d3b8719d71f1215, 0x9b39edd1159d456c, 0xeff0a8d18a17d001, 0xbc8ef7def2eb85ea, 0xa6dd85746a761ab3}},
+		{26, 26202, 0x2ee7f6e90806bed7, []uint64{0x2ee7f6e90806bed7, 0xa6dd85746a761ab3, 0x534a44cd423a638f, 0x9be96f827f64a21f, 0xe8ce011dd1559cc3}},
+	}
+	g, err := GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range panel {
+		res, err := Search(g, DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: p.seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", p.seed, err)
+		}
+		if res.Explored != p.explored {
+			t.Errorf("seed %d: explored %d, want %d", p.seed, res.Explored, p.explored)
+		}
+		if h := res.Best.Config.Hash(); h != p.best {
+			t.Errorf("seed %d: best hash %#x, want %#x", p.seed, h, p.best)
+		}
+		got := make([]uint64, len(res.TopK))
+		for i, c := range res.TopK {
+			got[i] = c.Config.Hash()
+		}
+		if !slices.Equal(got, p.topK) {
+			t.Errorf("seed %d: top-K hashes %#x, want %#x", p.seed, got, p.topK)
 		}
 	}
 }

@@ -68,11 +68,8 @@ func (a *Arena) Stats() (gets, puts, reuses int) { return a.gets, a.puts, a.reus
 // enough capacity is available its Stage and OpSetting slices are
 // reused, otherwise it falls back to fresh allocation. The result is
 // indistinguishable from Clone(): every field — including the
-// memoized canonical segments and hashes — is copied or overwritten,
-// so no state of the recycled config's previous life survives.
-// (Stage value copies share the source's canon string; that is safe
-// because a canonical segment is immutable once built — mutation
-// helpers replace it rather than writing into it.)
+// memoized keys and hash — is copied or overwritten, so no state of
+// the recycled config's previous life survives.
 //
 // A nil arena degrades to Clone.
 func (c *Config) CloneIn(a *Arena) *Config {
@@ -85,19 +82,7 @@ func (c *Config) CloneIn(a *Arena) *Config {
 	}
 	a.reuses++
 	out.MicroBatch = c.MicroBatch
-	out.hash = c.hash
-	out.hashOK = c.hashOK
-	out.hpfxN = c.hpfxN
-	if n := c.hpfxN; n > 0 {
-		if cap(out.hpfx) >= n {
-			out.hpfx = out.hpfx[:n]
-		} else {
-			out.hpfx = make([]uint64, n)
-		}
-		copy(out.hpfx, c.hpfx[:n])
-	} else {
-		out.hpfx = out.hpfx[:0]
-	}
+	out.key, out.hash = c.key, c.hash
 	if cap(out.Stages) >= len(c.Stages) {
 		out.Stages = out.Stages[:len(c.Stages)]
 	} else {

@@ -14,23 +14,14 @@ import (
 )
 
 // FNV-1a constants. Hashing is inlined instead of going through
-// hash/fnv: the stdlib hasher costs one allocation per New64a plus a
-// string→[]byte copy per io.WriteString, and Config.Hash is the single
-// hottest function of the search (DESIGN.md §5g). The fold below is
-// byte-identical to fnv.New64a().Write(...).Sum64(), so every memoized
-// hash — and every hash-based tie-break in the search — is unchanged.
+// hash/fnv (one allocation per New64a plus a string→[]byte copy); the
+// fold is byte-identical to fnv.New64a().Write(...).Sum64(), so every
+// Hash value — pipesim's skew streams, the search's tie-break order —
+// is unchanged.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// fnvString folds s into an FNV-1a state.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
 
 // fnvBytes folds b into an FNV-1a state.
 func fnvBytes(h uint64, b []byte) uint64 {
@@ -40,6 +31,14 @@ func fnvBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
+// mix is the splitmix64 finalizer: a bijective 64-bit scrambler. Key
+// folds words as h = mix(h ^ w), so no string is built.
+func mix(h uint64) uint64 {
+	h += 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
 
 // OpSetting is the parallelization of a single operator inside its
 // pipeline stage. TP·DP always equals the stage's device count; the
@@ -70,39 +69,73 @@ type OpSetting struct {
 // Stage is one pipeline stage: the contiguous operator range
 // [Start, End) executed on Devices GPUs.
 //
-// Stages memoize their canonical segment and semantic sub-hash (the
-// search hot path hashes every candidate several times). The caches
-// are invalidated by the Config mutation helpers (MutStage, MutOp,
-// SetMicroBatch, InvalidateStage, Invalidate); code that writes the
-// exported fields directly after a Hash/SubHash call must invalidate
-// by hand or the caches go stale (DESIGN.md §5b).
+// Stages memoize their identity Key (the search hot path keys every
+// candidate several times). The memo is invalidated by the Config
+// mutation helpers (MutStage, MutOp, InvalidateStage, Invalidate);
+// code that writes the exported fields directly after a Key call must
+// invalidate by hand or the memo goes stale (DESIGN.md §5b).
 type Stage struct {
 	Start, End int
 	Devices    int
 	Ops        []OpSetting // len == End-Start, indexed by op - Start
 
-	// canon memoizes the stage's canonical segment ("" = not yet
-	// computed; a valid segment is never empty). sub is its FNV-1a
-	// sub-hash — the perfmodel stage-cache key component.
-	canon string
-	sub   uint64
+	// key memoizes Key() (0 = not yet computed; a key that happens to
+	// be 0 is merely recomputed).
+	key uint64
 }
 
 // NumOps returns the number of operators in the stage.
 func (s *Stage) NumOps() int { return s.End - s.Start }
 
 // Setting returns the OpSetting for global operator index op.
-// Mutating through the returned pointer bypasses hash invalidation;
-// use Config.MutOp (or invalidate explicitly) on hashed configs.
+// Mutating through the returned pointer bypasses memo invalidation;
+// use Config.MutOp (or invalidate explicitly) on keyed configs.
 func (s *Stage) Setting(op int) *OpSetting { return &s.Ops[op-s.Start] }
 
-// invalidate drops the stage's memoized segment and sub-hash.
-func (s *Stage) invalidate() { s.canon, s.sub = "", 0 }
+// Key returns the stage's identity key — the perfmodel stage-cache key
+// component: a word-wise splitmix64 fold of the op range, the device
+// count and every op setting. Two stages have equal keys iff their
+// canonical segments are byte-identical, up to 64-bit collisions.
+// Memoized; see Stage.
+func (s *Stage) Key() uint64 {
+	if s.key == 0 {
+		h := mix(uint64(s.Start))
+		h = mix(h ^ uint64(s.End))
+		h = mix(h ^ uint64(s.Devices))
+		for j := range s.Ops {
+			h = s.Ops[j].fold(h)
+		}
+		s.key = h
+	}
+	return s.key
+}
 
-// segScratch recycles segment()'s build buffer: rebuilding a mutated
-// stage's segment is the second-hottest allocation site of the search,
-// and only the memoized string needs to outlive the call.
-var segScratch = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// fold mixes the setting into h as one packed word (TP, DP < 2^24,
+// 0 ≤ Dim < 2^12, three flag bits, top bit clear) or, for fields
+// outside those ranges, as an escape word with the top bit set
+// followed by the raw TP, DP and Dim, so no two settings share an
+// encoding.
+func (o *OpSetting) fold(h uint64) uint64 {
+	flags := b2u(o.Recompute) | b2u(o.ZeRO)<<1 | b2u(o.SeqPar)<<2
+	if uint(o.TP) < 1<<24 && uint(o.DP) < 1<<24 && uint(o.Dim) < 1<<12 {
+		return mix(h ^ (uint64(o.TP) | uint64(o.DP)<<24 | uint64(o.Dim)<<48 | flags<<60))
+	}
+	h = mix(h ^ (1<<63 | flags))
+	h = mix(h ^ uint64(o.TP))
+	h = mix(h ^ uint64(o.DP))
+	return mix(h ^ uint64(o.Dim))
+}
+
+// b2u is 1 for true, 0 for false.
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// canonScratch recycles Hash's canonical-form build buffer.
+var canonScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // appendDec is strconv.AppendInt specialized for the small
 // non-negative integers that dominate canonical segments (parallelism
@@ -119,50 +152,31 @@ func appendDec(b []byte, v int) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
-// segment returns the stage's canonical segment, computing and
-// memoizing it (and the sub-hash) on first use. The byte format is
-// identical to what Config.canonical historically produced.
-func (s *Stage) segment() string {
-	if s.canon == "" {
-		bp := segScratch.Get().(*[]byte)
-		b := (*bp)[:0]
-		b = append(b, "s["...)
-		b = appendDec(b, s.Start)
+// appendSegment appends the stage's canonical segment.
+func (s *Stage) appendSegment(b []byte) []byte {
+	b = append(b, "s["...)
+	b = appendDec(b, s.Start)
+	b = append(b, ',')
+	b = appendDec(b, s.End)
+	b = append(b, ")x"...)
+	b = appendDec(b, s.Devices)
+	b = append(b, ':')
+	for j := range s.Ops {
+		op := &s.Ops[j]
+		b = appendDec(b, op.TP)
+		b = append(b, '.')
+		b = appendDec(b, op.DP)
+		b = append(b, '.')
+		b = appendDec(b, op.Dim)
+		b = append(b, '.')
+		b = appendBit(b, op.Recompute)
+		b = append(b, '.')
+		b = appendBit(b, op.ZeRO)
+		b = append(b, '.')
+		b = appendBit(b, op.SeqPar)
 		b = append(b, ',')
-		b = appendDec(b, s.End)
-		b = append(b, ")x"...)
-		b = appendDec(b, s.Devices)
-		b = append(b, ':')
-		for j := range s.Ops {
-			op := &s.Ops[j]
-			b = appendDec(b, op.TP)
-			b = append(b, '.')
-			b = appendDec(b, op.DP)
-			b = append(b, '.')
-			b = appendDec(b, op.Dim)
-			b = append(b, '.')
-			b = appendBit(b, op.Recompute)
-			b = append(b, '.')
-			b = appendBit(b, op.ZeRO)
-			b = append(b, '.')
-			b = appendBit(b, op.SeqPar)
-			b = append(b, ',')
-		}
-		b = append(b, ';')
-		s.canon = string(b)
-		s.sub = fnvBytes(fnvOffset64, b)
-		*bp = b
-		segScratch.Put(bp)
 	}
-	return s.canon
-}
-
-// SubHash returns the stage's semantic sub-hash: two stages have equal
-// sub-hashes iff their canonical segments (op range, device count and
-// every op setting) are byte-identical. Memoized; see Stage.
-func (s *Stage) SubHash() uint64 {
-	s.segment()
-	return s.sub
+	return append(b, ';')
 }
 
 // appendBit appends '1' for true, '0' for false.
@@ -185,25 +199,9 @@ type Config struct {
 	// (Figure 5(c)).
 	MicroBatch int
 
-	// hash memoizes Hash(); hashOK marks it valid. Invalidated by the
-	// mutation helpers below.
-	hash   uint64
-	hashOK bool
-
-	// hpfx caches FNV-1a prefix states: hpfx[i] is the hash state after
-	// folding the "mb=<n>;" prefix and stages [0..i]. hpfxN counts the
-	// valid entries — mutating stage k clamps it to k, changing the
-	// microbatch resets it to 0. Hash() resumes folding at the first
-	// invalid stage, so a clone-plus-single-stage-mutation neighbor
-	// re-folds only the stages from the mutation onward instead of the
-	// whole pipeline. The final hash value is identical either way:
-	// FNV-1a is a left fold, so the state after a byte prefix is a pure
-	// function of that prefix. (A cheaper stage-level fold of the
-	// memoized sub-hashes was tried and rejected: it changes hash
-	// values, and score ties broken by hash order make the exploration
-	// sequence — pinned by the benchmark baselines — drift.)
-	hpfx  []uint64
-	hpfxN int
+	// key memoizes Key(), hash memoizes Hash() (0 = not yet computed).
+	// Invalidated by the mutation helpers below.
+	key, hash uint64
 
 	// flat remembers the full backing array behind the stages' Ops
 	// slices (Clone carves per-stage windows out of one allocation,
@@ -322,9 +320,10 @@ func (c *Config) Validate(g *model.Graph, totalDevices int) error {
 	return nil
 }
 
-// Clone returns a deep copy of the configuration. Memoized hashes are
-// carried over (they describe identical content), so a neighbor built
-// by Clone plus a mutation helper re-hashes only the mutated stage.
+// Clone returns a deep copy of the configuration. Memoized keys and
+// hashes are carried over (they describe identical content), so a
+// neighbor built by Clone plus a mutation helper re-keys only the
+// mutated stage.
 //
 // All stages' op settings share one backing array, sliced with
 // cap==len per stage so an append on any stage's Ops reallocates
@@ -335,13 +334,8 @@ func (c *Config) Clone() *Config {
 	out := &Config{
 		Stages:     make([]Stage, len(c.Stages)),
 		MicroBatch: c.MicroBatch,
+		key:        c.key,
 		hash:       c.hash,
-		hashOK:     c.hashOK,
-		hpfxN:      c.hpfxN,
-	}
-	if c.hpfxN > 0 {
-		out.hpfx = make([]uint64, c.hpfxN)
-		copy(out.hpfx, c.hpfx[:c.hpfxN])
 	}
 	total := 0
 	for i := range c.Stages {
@@ -364,115 +358,96 @@ func (c *Config) Clone() *Config {
 
 // ---------- mutation helpers (the cache-invalidation contract) ----------
 //
-// The search hot path memoizes Hash(), per-stage sub-hashes, and (in
-// perfmodel) per-stage metrics keyed by those sub-hashes. All of that
+// The search hot path memoizes Key(), per-stage keys, and (in
+// perfmodel) per-stage metrics keyed by the stage keys. All of that
 // is only sound if every post-construction mutation goes through the
-// helpers below, which invalidate exactly the touched caches. Building
-// a Config from literals and mutating it before the first Hash call
-// needs no helpers — the caches are filled lazily.
+// helpers below, which invalidate exactly the touched memos. Building
+// a Config from literals and mutating it before the first Key or Hash
+// call needs no helpers — the memos are filled lazily.
 
-// SetMicroBatch sets the aggregate microbatch size. Stage sub-hashes
-// are unaffected (the microbatch is keyed separately everywhere).
+// SetMicroBatch sets the aggregate microbatch size. Stage keys are
+// unaffected (the microbatch is keyed separately everywhere).
 func (c *Config) SetMicroBatch(mbs int) {
 	c.MicroBatch = mbs
-	c.hashOK = false
-	c.hpfxN = 0 // the mb prefix feeds every stage's fold state
+	c.key, c.hash = 0, 0
 }
 
-// MutStage applies fn to stage i and invalidates its memoized hashes.
+// MutStage applies fn to stage i and invalidates its memos.
 func (c *Config) MutStage(i int, fn func(*Stage)) {
 	fn(&c.Stages[i])
 	c.InvalidateStage(i)
 }
 
 // MutOp applies fn to the setting of global operator index op inside
-// stage i and invalidates the stage's memoized hashes.
+// stage i and invalidates the stage's memos.
 func (c *Config) MutOp(i, op int, fn func(*OpSetting)) {
 	fn(c.Stages[i].Setting(op))
 	c.InvalidateStage(i)
 }
 
-// InvalidateStage drops stage i's memoized hashes (and the config
-// hash) after a direct mutation that bypassed MutStage/MutOp.
+// InvalidateStage drops stage i's key (and the config's key and hash)
+// after a direct mutation that bypassed MutStage/MutOp.
 func (c *Config) InvalidateStage(i int) {
-	c.Stages[i].invalidate()
-	c.hashOK = false
-	if c.hpfxN > i {
-		c.hpfxN = i
-	}
+	c.Stages[i].key = 0
+	c.key, c.hash = 0, 0
 }
 
-// Invalidate drops every memoized hash. The escape hatch for code that
-// hand-mutates exported fields of an already-hashed configuration.
+// Invalidate drops every memo. The escape hatch for code that
+// hand-mutates exported fields of an already-keyed configuration.
 func (c *Config) Invalidate() {
 	for i := range c.Stages {
-		c.Stages[i].invalidate()
+		c.Stages[i].key = 0
 	}
-	c.hashOK = false
-	c.hpfxN = 0
+	c.key, c.hash = 0, 0
 }
 
-// canonical writes the semantic content of the configuration in a
-// canonical form. Two configurations are semantically identical iff
+// Key returns the configuration's identity key, used wherever the
+// search only needs equality (§4.3 deduplication, the estimate memo,
+// the pool, the top-K lists): a splitmix64 fold of the microbatch and
+// the stage keys. Equal keys ⇔ equal canonical forms, up to 64-bit
+// collisions — the assumption hash-based dedup has always made.
+// Memoized; a neighbor that mutated one stage re-keys only that stage.
+func (c *Config) Key() uint64 {
+	if c.key == 0 {
+		h := mix(uint64(c.MicroBatch))
+		for i := range c.Stages {
+			h = mix(h ^ c.Stages[i].Key())
+		}
+		c.key = h
+	}
+	return c.key
+}
+
+// appendCanonical appends the semantic content of the configuration in
+// a canonical form. Two configurations are semantically identical iff
 // their canonical forms are byte-identical.
-func (c *Config) canonical(sb *strings.Builder) {
-	sb.WriteString("mb=")
-	sb.WriteString(strconv.Itoa(c.MicroBatch))
-	sb.WriteByte(';')
+func (c *Config) appendCanonical(b []byte) []byte {
+	b = append(b, "mb="...)
+	b = appendDec(b, c.MicroBatch)
+	b = append(b, ';')
 	for i := range c.Stages {
-		sb.WriteString(c.Stages[i].segment())
+		b = c.Stages[i].appendSegment(b)
 	}
+	return b
 }
 
-// Hash returns the configuration-semantic hash used for search
-// deduplication (§4.3): FNV-1a over the canonical form. Memoized two
-// ways: a valid hash returns instantly, and otherwise the fold resumes
-// from the cached prefix state of the last unmutated stage — a
-// neighbor that mutated stage k re-folds only segments k..p-1 instead
-// of the whole canonical form.
+// Hash returns FNV-1a over the canonical form: the search's
+// deterministic order among equal-score candidates, and the seed of
+// pipesim's skew streams. Its values are stable across versions; use
+// Key for identity. Memoized.
 func (c *Config) Hash() uint64 {
-	if c.hashOK {
-		return c.hash
+	if c.hash == 0 {
+		bp := canonScratch.Get().(*[]byte)
+		*bp = c.appendCanonical((*bp)[:0])
+		c.hash = fnvBytes(fnvOffset64, *bp)
+		canonScratch.Put(bp)
 	}
-	p := len(c.Stages)
-	i := c.hpfxN
-	if i > p {
-		i = p // defensive: stages were truncated without Invalidate
-	}
-	if cap(c.hpfx) >= p {
-		c.hpfx = c.hpfx[:p]
-	} else {
-		np := make([]uint64, p)
-		copy(np, c.hpfx[:i])
-		c.hpfx = np
-	}
-	var h uint64
-	if i == 0 {
-		var buf [16]byte
-		b := append(buf[:0], "mb="...)
-		b = strconv.AppendInt(b, int64(c.MicroBatch), 10)
-		b = append(b, ';')
-		h = fnvBytes(fnvOffset64, b)
-	} else {
-		h = c.hpfx[i-1]
-	}
-	for ; i < p; i++ {
-		h = fnvString(h, c.Stages[i].segment())
-		c.hpfx[i] = h
-	}
-	c.hpfxN = p
-	c.hash = h
-	c.hashOK = true
 	return c.hash
 }
 
 // Canonical returns the canonical string form (exposed for tests of
-// the hash ⇔ string equivalence invariant).
-func (c *Config) Canonical() string {
-	var sb strings.Builder
-	c.canonical(&sb)
-	return sb.String()
-}
+// the key ⇔ hash ⇔ string equivalence invariant).
+func (c *Config) Canonical() string { return string(c.appendCanonical(nil)) }
 
 // String renders a compact human-readable summary, collapsing runs of
 // identical op settings inside each stage.

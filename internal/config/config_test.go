@@ -1,6 +1,8 @@
 package config
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,38 +222,57 @@ func TestHashDistinguishesAndMatches(t *testing.T) {
 	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
 	a := mustBalanced(t, g, 8, 2, 4)
 	b := a.Clone()
-	if a.Hash() != b.Hash() {
-		t.Error("clone hash differs")
+	if a.Hash() != b.Hash() || a.Key() != b.Key() {
+		t.Error("clone hash or key differs")
 	}
 	if a.Canonical() != b.Canonical() {
 		t.Error("clone canonical differs")
 	}
 	b.MutOp(0, 3, func(op *OpSetting) { op.Recompute = true })
-	if a.Hash() == b.Hash() {
-		t.Error("recompute flag not reflected in hash")
+	if a.Hash() == b.Hash() || a.Key() == b.Key() {
+		t.Error("recompute flag not reflected in hash or key")
 	}
 	c := a.Clone()
 	c.SetMicroBatch(8)
-	if a.Hash() == c.Hash() {
-		t.Error("microbatch not reflected in hash")
+	if a.Hash() == c.Hash() || a.Key() == c.Key() {
+		t.Error("microbatch not reflected in hash or key")
 	}
 	d := a.Clone()
 	d.MutOp(0, 0, func(op *OpSetting) { op.Dim = 1 })
-	if a.Hash() == d.Hash() {
-		t.Error("dim not reflected in hash")
+	if a.Hash() == d.Hash() || a.Key() == d.Key() {
+		t.Error("dim not reflected in hash or key")
 	}
 }
 
-// The memoized hash must always equal a from-scratch rebuild — the
-// invalidation contract of the mutation helpers (DESIGN.md §5b).
-func rebuiltHash(c *Config) uint64 {
+// TestHashIsFNVOfCanonical pins Hash to its historical definition —
+// FNV-1a of the canonical form — and to one recorded value: the hash
+// orders equal-score candidates and seeds pipesim's skew streams, so a
+// changed value changes searches and simulations.
+func TestHashIsFNVOfCanonical(t *testing.T) {
+	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
+	c := mustBalanced(t, g, 8, 2, 4)
+	c.MutOp(1, 9, func(op *OpSetting) { op.Recompute, op.Dim = true, 1 })
+	h := fnv.New64a()
+	h.Write([]byte(c.Canonical()))
+	if got, want := c.Hash(), h.Sum64(); got != want {
+		t.Errorf("Hash = %x, FNV-1a of Canonical = %x", got, want)
+	}
+	if got, want := c.Hash(), uint64(0x4944deae1fe121cd); got != want {
+		t.Errorf("Hash = %#x, recorded %#x", got, want)
+	}
+}
+
+// rebuilt returns a memo-free copy of c: the memoized key and hash must
+// always equal a from-scratch rebuild's — the invalidation contract of
+// the mutation helpers (DESIGN.md §5b).
+func rebuilt(c *Config) *Config {
 	fresh := &Config{MicroBatch: c.MicroBatch, Stages: make([]Stage, len(c.Stages))}
 	for i := range c.Stages {
 		s := c.Stages[i]
 		fresh.Stages[i] = Stage{Start: s.Start, End: s.End, Devices: s.Devices,
 			Ops: append([]OpSetting(nil), s.Ops...)}
 	}
-	return fresh.Hash()
+	return fresh
 }
 
 func TestMutationHelpersInvalidate(t *testing.T) {
@@ -259,11 +280,17 @@ func TestMutationHelpersInvalidate(t *testing.T) {
 	c := mustBalanced(t, g, 8, 2, 4)
 	check := func(what string) {
 		t.Helper()
-		if got, want := c.Hash(), rebuiltHash(c); got != want {
+		fresh := rebuilt(c)
+		if got, want := c.Hash(), fresh.Hash(); got != want {
 			t.Errorf("%s: memoized hash %x != rebuilt hash %x", what, got, want)
 		}
-		if got, want := c.Stages[0].SubHash(), rebuiltSubHash(&c.Stages[0]); got != want {
-			t.Errorf("%s: memoized sub-hash %x != rebuilt %x", what, got, want)
+		if got, want := c.Key(), fresh.Key(); got != want {
+			t.Errorf("%s: memoized key %x != rebuilt key %x", what, got, want)
+		}
+		for i := range c.Stages {
+			if got, want := c.Stages[i].Key(), fresh.Stages[i].Key(); got != want {
+				t.Errorf("%s: memoized stage %d key %x != rebuilt %x", what, i, got, want)
+			}
 		}
 	}
 	check("fresh")
@@ -278,66 +305,137 @@ func TestMutationHelpersInvalidate(t *testing.T) {
 	c.SetMicroBatch(8)
 	check("SetMicroBatch")
 
-	// Direct mutation after hashing goes stale until Invalidate.
+	// Direct mutation after keying goes stale until Invalidate.
+	c.Key()
 	c.Hash()
 	c.Stages[0].Ops[0].Dim = 1
 	c.Invalidate()
 	check("Invalidate after direct mutation")
 
+	c.Key()
 	c.Hash()
 	c.Stages[1].Ops[0].Dim = 1
 	c.InvalidateStage(1)
 	check("InvalidateStage after direct mutation")
+
+	// Clone and CloneIn carry the memos, which stay exact.
+	check("Clone")
+	d := c.Clone()
+	d.MutOp(1, 9, func(op *OpSetting) { op.ZeRO = true })
+	var a Arena
+	a.Put(d)
+	c = d.CloneIn(&a)
+	check("CloneIn")
 }
 
-func rebuiltSubHash(s *Stage) uint64 {
-	fresh := Stage{Start: s.Start, End: s.End, Devices: s.Devices,
-		Ops: append([]OpSetting(nil), s.Ops...)}
-	return fresh.SubHash()
-}
-
-// SetMicroBatch must not disturb stage sub-hashes: the perfmodel stage
-// cache keys the microbatch separately.
-func TestSubHashIgnoresMicroBatch(t *testing.T) {
+// SetMicroBatch must not disturb stage keys: the perfmodel stage cache
+// keys the microbatch separately.
+func TestStageKeyIgnoresMicroBatch(t *testing.T) {
 	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
 	c := mustBalanced(t, g, 8, 2, 4)
-	before := c.Stages[0].SubHash()
+	before := c.Stages[0].Key()
 	c.SetMicroBatch(8)
-	if c.Stages[0].SubHash() != before {
-		t.Error("SetMicroBatch changed a stage sub-hash")
+	if c.Stages[0].Key() != before {
+		t.Error("SetMicroBatch changed a stage key")
 	}
 	// But a stage mutation must change it.
 	c.MutOp(0, 0, func(op *OpSetting) { op.Recompute = true })
-	if c.Stages[0].SubHash() == before {
-		t.Error("stage mutation did not change the sub-hash")
+	if c.Stages[0].Key() == before {
+		t.Error("stage mutation did not change the stage key")
 	}
 }
 
-// Property: hash equality ⇔ canonical equality on random mutations
-// (DESIGN.md §6, invariant 7).
+// Property: key equality ⇔ hash equality ⇔ canonical equality on
+// random mutations of every OpSetting field, the microbatch and the
+// stage boundaries (DESIGN.md §6, invariant 7). One side of each pair
+// keeps the warm memos a clone carries in the search, the other is
+// keyed from scratch. Seeds are drawn from a small space so equal pairs
+// occur and the ⇐ direction is exercised; the generator is fixed so
+// the count of equal pairs is too.
 func TestHashCanonicalEquivalence(t *testing.T) {
 	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
 	base := mustBalanced(t, g, 8, 2, 4)
+	base.Key()
+	base.Hash()
 	mutate := func(seed uint32) *Config {
 		c := base.Clone()
-		s := int(seed) % len(c.Stages)
-		j := int(seed/7) % len(c.Stages[s].Ops)
-		switch seed % 3 {
-		case 0:
-			c.MutStage(s, func(st *Stage) { st.Ops[j].Recompute = !st.Ops[j].Recompute })
-		case 1:
-			c.MutStage(s, func(st *Stage) { st.Ops[j].Dim ^= 1 })
-		case 2:
-			c.SetMicroBatch(1 << (seed % 5))
+		for r := seed % 512; r > 0; r /= 7 {
+			s := int(r) % len(c.Stages)
+			op := c.Stages[s].Start + int(r/2)%2
+			switch r % 7 {
+			case 0:
+				moveBoundary(c, int(r/3)%3-1)
+			case 1:
+				c.MutOp(s, op, func(o *OpSetting) { o.Recompute = !o.Recompute })
+			case 2:
+				c.MutOp(s, op, func(o *OpSetting) { o.Dim ^= 1 })
+			case 3:
+				c.SetMicroBatch(1 << (r % 4))
+			case 4:
+				c.MutOp(s, op, func(o *OpSetting) { o.ZeRO = !o.ZeRO })
+			case 5:
+				c.MutOp(s, op, func(o *OpSetting) { o.SeqPar = !o.SeqPar })
+			case 6:
+				c.MutOp(s, op, func(o *OpSetting) { o.TP, o.DP = o.DP, o.TP })
+			}
 		}
 		return c
 	}
+	equal := 0
 	f := func(s1, s2 uint32) bool {
-		a, b := mutate(s1), mutate(s2)
-		return (a.Hash() == b.Hash()) == (a.Canonical() == b.Canonical())
+		a, b := mutate(s1), rebuilt(mutate(s2))
+		canon := a.Canonical() == b.Canonical()
+		if canon {
+			equal++
+		}
+		return (a.Key() == b.Key()) == canon && (a.Hash() == b.Hash()) == canon
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+	if equal == 0 {
+		t.Error("no equal pair drawn: the ⇐ direction went untested")
+	}
+}
+
+// moveBoundary shifts the boundary between stages 0 and 1 by d ops
+// (d ∈ {-1, 0, 1}), re-slicing both stages' settings.
+func moveBoundary(c *Config, d int) {
+	s0, s1 := &c.Stages[0], &c.Stages[1]
+	b := s0.End + d
+	if b <= s0.Start || b >= s1.End {
+		return
+	}
+	ops := append(append([]OpSetting(nil), s0.Ops...), s1.Ops...)
+	c.MutStage(0, func(st *Stage) { st.End, st.Ops = b, ops[:b-st.Start:b-st.Start] })
+	c.MutStage(1, func(st *Stage) { st.Start, st.Ops = b, ops[b-s0.Start:] })
+}
+
+// TestKeyEncodingIsInjective pins the packed-word encoding's escape:
+// settings outside the packed ranges, or that would alias a packed
+// word if truncated, get distinct keys.
+func TestKeyEncodingIsInjective(t *testing.T) {
+	settings := []OpSetting{
+		{TP: 1, DP: 1},
+		{TP: 1 + 1<<24, DP: 1},
+		{TP: 1, DP: 1 + 1<<24},
+		{TP: 1, DP: 1, Dim: 1 << 12},
+		{TP: 1, DP: 1, Dim: -1},
+		{TP: 1, DP: 1, Recompute: true},
+		{TP: 1, DP: 1, ZeRO: true},
+		{TP: 1, DP: 1, SeqPar: true},
+		{TP: 2, DP: 1},
+		{TP: 1, DP: 2},
+		{TP: 1, DP: 1, Dim: 1},
+	}
+	seen := map[uint64]OpSetting{}
+	for _, o := range settings {
+		s := Stage{Start: 0, End: 1, Devices: 1, Ops: []OpSetting{o}}
+		k := s.Key()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("settings %+v and %+v share key %x", prev, o, k)
+		}
+		seen[k] = o
 	}
 }
 

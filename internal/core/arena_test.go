@@ -158,7 +158,7 @@ func TestPruneInsertAllocs(t *testing.T) {
 	fill := func() {
 		for i := 0; i < poolCap+1; i++ {
 			h := uint64(i)*2654435761 + 1
-			s.pool[h] = Candidate{Score: float64(i), hash: h}
+			s.pool[h] = Candidate{Score: float64(i), key: h}
 		}
 	}
 	// Warm-up: grow pruneBuf, limbo and the map to steady-state capacity.
@@ -178,10 +178,10 @@ func TestPruneInsertAllocs(t *testing.T) {
 	list := make([]Candidate, 0, k+1)
 	n := 0
 	if got := testing.AllocsPerRun(100, func() {
-		// Each insert is a fresh hash ranking first, so it takes the
+		// Each insert is a fresh key ranking first, so it takes the
 		// splice path (append + copy) every time.
 		n++
-		list = insertTopK(list, Candidate{Score: -float64(n), hash: uint64(n)}, k)
+		list = insertTopK(list, Candidate{Score: -float64(n), key: uint64(n)}, k)
 	}); got > 0 {
 		t.Errorf("insertTopK: %.0f allocs/op in steady state, want 0", got)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // strippedClone rebuilds a configuration from its exported fields only,
-// discarding every memoized hash — the from-scratch reference for the
-// invalidation contract.
+// discarding every memoized key and hash — the from-scratch reference
+// for the invalidation contract.
 func strippedClone(c *config.Config) *config.Config {
 	out := &config.Config{
 		MicroBatch: c.MicroBatch,
@@ -38,7 +38,7 @@ func strippedClone(c *config.Config) *config.Config {
 // testing/quick-generated starting points, every intermediate
 // configuration must satisfy, bit-for-bit,
 //
-//  1. memoized Config.Hash() == from-scratch rebuild's Hash(), and
+//  1. memoized Config.Key() and Hash() == a from-scratch rebuild's, and
 //  2. cached/incremental Estimate == full recomputation with the
 //     stage cache disabled (same profiler database, so the only
 //     difference is the memo).
@@ -67,6 +67,10 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 	}
 
 	check := func(cfg *config.Config, step int) bool {
+		if got, want := cfg.Key(), strippedClone(cfg).Key(); got != want {
+			t.Errorf("step %d: memoized key %x != rebuilt %x (%s)", step, got, want, cfg)
+			return false
+		}
 		if got, want := cfg.Hash(), strippedClone(cfg).Hash(); got != want {
 			t.Errorf("step %d: memoized hash %x != rebuilt %x (%s)", step, got, want, cfg)
 			return false
@@ -84,8 +88,8 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 	prims := append(append([]Primitive(nil), Table...), ExtensionTable...)
 	walk := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stages := 1 << rng.Intn(3)             // 1, 2 or 4 pipeline stages
-		mbs := 1 << rng.Intn(3)                // 1, 2 or 4
+		stages := 1 << rng.Intn(3) // 1, 2 or 4 pipeline stages
+		mbs := 1 << rng.Intn(3)    // 1, 2 or 4
 		cfg, err := config.Balanced(g, 8, stages, mbs)
 		if err != nil {
 			return true // not every (stages, mbs) combination is buildable

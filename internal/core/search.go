@@ -129,17 +129,18 @@ type Candidate struct {
 	Estimate *perfmodel.Estimate
 	Score    float64
 
-	// hash is Config.Hash(), captured at construction so comparators
-	// and dedup loops never re-hash inside sorts.
-	hash uint64
+	// key is Config.Key(), captured at construction so dedup loops
+	// never re-key.
+	key uint64
 }
 
-// less is the canonical candidate order: score, then hash tie-break.
+// less is the canonical candidate order: score, then Config.Hash() —
+// computed only on a score tie, which is rare (DESIGN.md §5g).
 func (c *Candidate) less(o *Candidate) bool {
 	if c.Score != o.Score {
 		return c.Score < o.Score
 	}
-	return c.hash < o.hash
+	return c.Config.Hash() < o.Config.Hash()
 }
 
 // SearchError describes the failure of one per-stage-count search
@@ -407,10 +408,10 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	})
 	seen := make(map[uint64]bool)
 	for _, c := range all {
-		if seen[c.hash] {
+		if seen[c.key] {
 			continue
 		}
-		seen[c.hash] = true
+		seen[c.key] = true
 		res.TopK = append(res.TopK, c)
 		if len(res.TopK) == opts.TopK {
 			break
@@ -489,6 +490,7 @@ type searcher struct {
 	deadline time.Time
 	done     <-chan struct{} // context cancellation, shared with the deadline
 
+	// All three are keyed by Config.Key().
 	visited  map[uint64]bool                // every config ever estimated (dedup, §4.3)
 	pool     map[uint64]Candidate           // unexplored configs (Algorithm 1)
 	cache    map[uint64]*perfmodel.Estimate // estimate memo
@@ -627,14 +629,14 @@ func (s *searcher) popBatch() {
 	}
 }
 
-// estimate memoizes performance-model evaluations by semantic hash and
+// estimate memoizes performance-model evaluations by identity key and
 // counts unique explored configurations. Inside a multiHop/fineTune
 // node the active batch estimator serves the call, sharing the base
 // configuration's per-stage metrics; the resulting estimate is
 // bitwise identical to the full path (see perfmodel.Batch).
 func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
-	h := cfg.Hash()
-	if e, ok := s.cache[h]; ok {
+	k := cfg.Key()
+	if e, ok := s.cache[k]; ok {
 		return e
 	}
 	var e *perfmodel.Estimate
@@ -643,7 +645,7 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	} else {
 		e = s.pm.EstimateIn(cfg, &s.estArena)
 	}
-	s.cache[h] = e
+	s.cache[k] = e
 	s.explored++
 	s.itEstimated++
 	if s.met != nil {
@@ -694,7 +696,7 @@ const poisonedPenalty = 1e6
 // contract rests on.
 func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	cur := init
-	s.visited[init.Hash()] = true
+	s.visited[init.Key()] = true
 	var topK []Candidate
 	record := func(cfg *config.Config) {
 		e := s.estimate(cfg)
@@ -702,7 +704,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		if e.Feasible {
 			s.trace.observe(sc)
 		}
-		cand := Candidate{Config: cfg, Estimate: e, Score: sc, hash: cfg.Hash()}
+		cand := Candidate{Config: cfg, Estimate: e, Score: sc, key: cfg.Key()}
 		topK = insertTopK(topK, cand, s.opts.TopK)
 	}
 	record(cur)
@@ -915,8 +917,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					continue
 				}
 				c = s.attachRecompute(c)
-				h := c.Hash()
-				if s.visited[h] {
+				k := c.Key()
+				if s.visited[k] {
 					s.itDedup++
 					if s.met != nil {
 						s.met.dedup.Inc()
@@ -924,7 +926,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					s.discard(c)
 					continue
 				}
-				s.visited[h] = true
+				s.visited[k] = true
 				if pc != nil {
 					pc.Inc()
 				}
@@ -943,8 +945,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					}
 					return c, hop + 1, prim.Name
 				}
-				cand := Candidate{Config: c, Estimate: e, Score: sc, hash: h}
-				s.pool[h] = cand
+				cand := Candidate{Config: c, Estimate: e, Score: sc, key: k}
+				s.pool[k] = cand
 				if len(s.pool) > poolCap {
 					s.prunePool()
 				}
@@ -1110,7 +1112,7 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 // the searcher, a prune allocates nothing in steady state (pinned by
 // TestPruneInsertAllocs).
 type poolEntry struct {
-	h     uint64
+	key   uint64
 	score float64
 	cfg   *config.Config
 }
@@ -1123,7 +1125,7 @@ func (p *poolEntries) Less(a, b int) bool {
 	if s[a].score != s[b].score {
 		return s[a].score < s[b].score
 	}
-	return s[a].h < s[b].h
+	return s[a].cfg.Hash() < s[b].cfg.Hash()
 }
 func (p *poolEntries) Swap(a, b int) {
 	s := *p
@@ -1131,7 +1133,7 @@ func (p *poolEntries) Swap(a, b int) {
 }
 
 // prunePool drops the worst-scoring entries of an oversized pool,
-// keeping the best poolCap/2 (deterministic: ties broken by hash). The
+// keeping the best poolCap/2 (deterministic: ties broken by Hash). The
 // half-cap target leaves insert headroom so the pool is not re-pruned
 // on nearly every insert once it first fills. Evicted configs go to
 // limbo, not straight back to the arena: candidate slices of multiHop
@@ -1142,14 +1144,14 @@ func (s *searcher) prunePool() {
 		return
 	}
 	all := s.pruneBuf[:0]
-	for h, c := range s.pool {
-		all = append(all, poolEntry{h, c.Score, c.Config})
+	for k, c := range s.pool {
+		all = append(all, poolEntry{k, c.Score, c.Config})
 	}
 	s.pruneBuf = all
 	sort.Sort(&s.pruneBuf)
 	all = s.pruneBuf
 	for _, e := range all[keep:] {
-		delete(s.pool, e.h)
+		delete(s.pool, e.key)
 		s.limbo = append(s.limbo, e.cfg)
 	}
 	if s.met != nil {
@@ -1158,31 +1160,31 @@ func (s *searcher) prunePool() {
 }
 
 // popBestUnexplored removes and returns the best-scoring unexplored
-// configuration (deterministic: ties broken by hash).
+// configuration (deterministic: ties broken by Hash).
 func (s *searcher) popBestUnexplored() *config.Config {
-	var bestH uint64
+	var bestK uint64
 	var bestCfg *config.Config
 	bestScore := math.Inf(1)
-	for h, c := range s.pool {
-		if bestCfg == nil || c.Score < bestScore || c.Score == bestScore && h < bestH {
-			bestCfg, bestScore, bestH = c.Config, c.Score, h
+	for k, c := range s.pool {
+		if bestCfg == nil || c.Score < bestScore || c.Score == bestScore && c.Config.Hash() < bestCfg.Hash() {
+			bestCfg, bestScore, bestK = c.Config, c.Score, k
 		}
 	}
 	if bestCfg == nil {
 		return nil
 	}
-	delete(s.pool, bestH)
+	delete(s.pool, bestK)
 	return bestCfg
 }
 
-// insertTopK keeps a ranked, hash-deduplicated list of the k best
-// candidates. The list is always sorted (score, then hash), so the
+// insertTopK keeps a ranked, key-deduplicated list of the k best
+// candidates. The list is always sorted (score, then Hash), so the
 // new candidate is spliced in at its position rather than re-sorting
 // the whole slice per insertion.
 func insertTopK(list []Candidate, c Candidate, k int) []Candidate {
 	pos := len(list)
 	for i := range list {
-		if list[i].hash == c.hash {
+		if list[i].key == c.key {
 			return list
 		}
 		if pos == len(list) && c.less(&list[i]) {

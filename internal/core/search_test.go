@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -320,7 +321,7 @@ func TestInsertTopK(t *testing.T) {
 	g := model.Uniform(8, 1e9, 1e6, 1e5, 64)
 	mk := func(mbs int, score float64) Candidate {
 		c, _ := config.Balanced(g, 4, 2, mbs)
-		return Candidate{Config: c, Score: score, hash: c.Hash()}
+		return Candidate{Config: c, Score: score, key: c.Key()}
 	}
 	var list []Candidate
 	list = insertTopK(list, mk(1, 3), 2)
@@ -329,7 +330,7 @@ func TestInsertTopK(t *testing.T) {
 	if len(list) != 2 || list[0].Score != 1 || list[1].Score != 2 {
 		t.Errorf("insertTopK = %+v", list)
 	}
-	// Duplicate hash ignored.
+	// Duplicate key ignored.
 	list = insertTopK(list, mk(2, 0.5), 2)
 	if list[0].Score != 1 {
 		t.Error("duplicate config replaced existing entry")
@@ -372,7 +373,7 @@ func TestPoolPruneKeepsBest(t *testing.T) {
 		for j := 0; j < len(c.Stages[0].Ops); j++ {
 			c.Stages[0].Ops[j].Recompute = (n>>j)&1 == 1
 		}
-		s.pool[c.Hash()] = Candidate{Config: c, Score: float64(n)}
+		s.pool[c.Key()] = Candidate{Config: c, Score: float64(n)}
 	}
 	if len(s.pool) != 2*poolCap+10 {
 		t.Fatalf("setup produced %d distinct configs", len(s.pool))
@@ -393,32 +394,55 @@ func TestPoolPruneKeepsBest(t *testing.T) {
 	}
 }
 
+// distinctConfigs returns n distinct configs of one shape: a counter
+// encoded into stage 0's recompute bits (16 ops give 65536 patterns).
+func distinctConfigs(t *testing.T, n int) []*config.Config {
+	t.Helper()
+	g := model.Uniform(32, 1e9, 1e6, 1e5, 1<<20)
+	base, err := config.Balanced(g, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*config.Config, n)
+	for i := range out {
+		c := base.Clone()
+		for j := range c.Stages[0].Ops {
+			c.Stages[0].Ops[j].Recompute = (i>>j)&1 == 1
+		}
+		out[i] = c
+	}
+	return out
+}
+
 func TestPrunePoolKeepsBestHalf(t *testing.T) {
 	// Regression (PR 4): prunePool documented "drop the worst-scoring
 	// half" but truncated only to poolCap, so a pool at its trigger size
 	// re-pruned after nearly every subsequent insert. It must prune to
-	// poolCap/2 (deterministic, hash-tiebroken).
+	// poolCap/2 (deterministic, Hash-tiebroken).
 	s := &searcher{pool: make(map[uint64]Candidate)}
-	n := poolCap + 1
-	for i := 0; i < n; i++ {
-		h := uint64(i)
-		// Two-valued scores exercise the hash tiebreak across the cut.
-		score := float64(i % 2)
-		s.pool[h] = Candidate{Score: score, hash: h}
+	cfgs := distinctConfigs(t, poolCap+1)
+	all := make([]Candidate, len(cfgs))
+	for i, c := range cfgs {
+		// Two-valued scores exercise the Hash tiebreak across the cut.
+		all[i] = Candidate{Config: c, Score: float64(i % 2), key: c.Key()}
+		s.pool[all[i].key] = all[i]
 	}
 	s.prunePool()
 	if len(s.pool) != poolCap/2 {
 		t.Fatalf("pool size after prune = %d, want poolCap/2 = %d", len(s.pool), poolCap/2)
 	}
-	// Survivors must be exactly the best (score, hash)-ordered entries:
+	// Survivors must be exactly the best (score, Hash)-ordered entries:
 	// all score-0 candidates sort before score-1, and within score 0 the
 	// lowest hashes win.
-	for h, c := range s.pool {
-		if c.Score != 0 {
-			t.Fatalf("hash %d with score %v survived ahead of score-0 entries", h, c.Score)
+	sort.Slice(all, func(a, b int) bool { return all[a].less(&all[b]) })
+	for _, c := range all[:poolCap/2] {
+		if _, ok := s.pool[c.key]; !ok {
+			t.Errorf("hash %x (score %v) was pruned ahead of a worse (score, Hash) entry", c.Config.Hash(), c.Score)
 		}
-		if h >= uint64(poolCap) {
-			t.Errorf("hash %d survived the hash tiebreak over lower hashes", h)
+	}
+	for k, c := range s.pool {
+		if c.Score != 0 {
+			t.Fatalf("key %x with score %v survived ahead of score-0 entries", k, c.Score)
 		}
 	}
 	// Pruning an at-or-under-target pool is a no-op.
@@ -426,6 +450,48 @@ func TestPrunePoolKeepsBestHalf(t *testing.T) {
 	s.prunePool()
 	if len(s.pool) != before {
 		t.Errorf("prune of small pool changed size %d → %d", before, len(s.pool))
+	}
+}
+
+// TestEqualScoresOrderByHash pins the tie-break of all three
+// comparators — less, poolEntries.Less and popBestUnexplored — to
+// Config.Hash() (FNV of the canonical form), not to the identity key:
+// the two orders differ, and only Hash order reproduces the
+// exploration sequence.
+func TestEqualScoresOrderByHash(t *testing.T) {
+	cfgs := distinctConfigs(t, 64)
+	byHash := func(a, b *config.Config) bool { return a.Hash() < b.Hash() }
+	byKey := func(a, b *config.Config) bool { return a.Key() < b.Key() }
+	// A pair whose Hash order and Key order disagree, so a comparator
+	// tie-breaking on the wrong one fails.
+	var lo, hi *config.Config
+	for _, a := range cfgs[1:] {
+		if byHash(cfgs[0], a) != byKey(cfgs[0], a) {
+			lo, hi = cfgs[0], a
+			break
+		}
+	}
+	if lo == nil {
+		t.Fatal("no config pair whose Hash and Key orders disagree")
+	}
+	if byHash(hi, lo) {
+		lo, hi = hi, lo
+	}
+
+	cl, ch := Candidate{Config: lo, Score: 1, key: lo.Key()}, Candidate{Config: hi, Score: 1, key: hi.Key()}
+	if !cl.less(&ch) || ch.less(&cl) {
+		t.Error("less: equal scores not ordered by Hash")
+	}
+	pe := poolEntries{{hi.Key(), 1, hi}, {lo.Key(), 1, lo}}
+	if !pe.Less(1, 0) || pe.Less(0, 1) {
+		t.Error("poolEntries.Less: equal scores not ordered by Hash")
+	}
+	s := &searcher{pool: map[uint64]Candidate{ch.key: ch, cl.key: cl}}
+	if got := s.popBestUnexplored(); got != lo {
+		t.Error("popBestUnexplored: equal scores not ordered by Hash")
+	}
+	if got := s.popBestUnexplored(); got != hi {
+		t.Error("popBestUnexplored: second pop is not the remaining entry")
 	}
 }
 

@@ -865,7 +865,7 @@ func Supervise(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *co
 			return nil
 		}
 		next := pickRunnable(g, active, res, curP)
-		if next == nil || next.Hash() == cur.Hash() ||
+		if next == nil || next.Key() == cur.Key() ||
 			!(estIterTime(g, &active, next, opt.Seed) < newT) {
 			emit(curP.Step, TransReplanKept, "replan found no better runnable plan; keeping current")
 			return nil

@@ -65,7 +65,7 @@ func (m *Model) BeginBatch(b *Batch, cfg *config.Config, est *Estimate, arena *E
 		if si > 0 {
 			prevDevices = cfg.Stages[si-1].Devices
 		}
-		b.keys[si] = stageKey{st.SubHash(), cfg.MicroBatch, firstDev, inflight, prevDevices}
+		b.keys[si] = stageKey{st.Key(), cfg.MicroBatch, firstDev, inflight, prevDevices}
 		firstDev += st.Devices
 	}
 }
@@ -106,7 +106,7 @@ func (b *Batch) Estimate(cfg *config.Config) *Estimate {
 		if si > 0 {
 			prevDevices = cfg.Stages[si-1].Devices
 		}
-		key := stageKey{st.SubHash(), cfg.MicroBatch, firstDev, inflight, prevDevices}
+		key := stageKey{st.Key(), cfg.MicroBatch, firstDev, inflight, prevDevices}
 		if key == b.keys[si] {
 			b.copied++
 			est.Stages[si] = b.base.Stages[si] // includes CapMem and Devices

@@ -130,12 +130,12 @@ func (e *Estimate) Throughput(globalBatch int) float64 {
 }
 
 // stageKey identifies one memoized stage evaluation: the stage's
-// semantic sub-hash plus every evalStage input that is not part of the
-// stage itself. Two evaluations with equal keys are identical — the
-// profiler is deterministic — so the cache never changes results, only
-// skips recomputation.
+// identity key (config.Stage.Key) plus every evalStage input that is
+// not part of the stage itself. Two evaluations with equal keys are
+// identical — the profiler is deterministic — so the cache never
+// changes results, only skips recomputation.
 type stageKey struct {
-	sub         uint64
+	stage       uint64
 	microBatch  int
 	firstDev    int
 	inflight    int
@@ -197,14 +197,14 @@ func (m *Model) StageCacheStats() (hits, misses uint64) {
 }
 
 // stageMetrics returns the metrics for st under the given pipeline
-// context, consulting the shared memo keyed by the stage's sub-hash.
-// An Estimate of a Clone-plus-one-mutation neighbor therefore
+// context, consulting the shared memo keyed by the stage's identity
+// key. An Estimate of a Clone-plus-one-mutation neighbor therefore
 // recomputes only the mutated stage; every other stage is a lookup.
 func (m *Model) stageMetrics(st *config.Stage, microBatch, firstDev, inflight, prevDevices int) StageMetrics {
 	if m.DisableStageCache {
 		return m.evalStage(st, microBatch, firstDev, inflight, prevDevices)
 	}
-	key := stageKey{st.SubHash(), microBatch, firstDev, inflight, prevDevices}
+	key := stageKey{st.Key(), microBatch, firstDev, inflight, prevDevices}
 	if sm, ok := m.scache.Load(key); ok {
 		m.scHits.Add(1)
 		return sm

@@ -158,7 +158,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	// one search budget, 503 (draining) once a replacement is up.
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		resp.RetryAfterMS = int(s.cfg.DefaultBudget / time.Millisecond)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.DefaultBudget + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.DefaultBudget+time.Second-1)/time.Second)))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -389,8 +389,10 @@ func (s *Server) runSearch(ctx context.Context, rq *request, extraTracer obs.Tra
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("marshal plan: %w", err)
 	}
-	// Freeze the config's hash memos before publishing it to the
-	// cache: cached configs are read concurrently by warm starts.
+	// Freeze the config's memos (Key fills the stage keys too) before
+	// publishing it to the cache: cached configs are read concurrently
+	// by warm starts, and a lazy fill would be a racing write.
+	plan.Config.Key()
 	plan.Config.Hash()
 	s.cache.Put(&plancache.Entry{
 		Key:      rq.key,

@@ -3,6 +3,7 @@ package planserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -423,5 +424,78 @@ func TestOptionsNormalizationSharesCacheKey(t *testing.T) {
 	}
 	if s.Cache().Len() != 1 {
 		t.Fatalf("cache has %d entries, want 1", s.Cache().Len())
+	}
+}
+
+// TestConcurrentWarmStartsShareFrozenDonor runs several warm-start
+// requests from one cached donor at once while other goroutines read
+// the donor's Key and Hash. The server fills both memos before a
+// config enters the cache, so under -race nothing writes the shared
+// donor; a lazily filled memo would be a racing write here.
+func TestConcurrentWarmStartsShareFrozenDonor(t *testing.T) {
+	const n = 4
+	s, ts := testServer(t, Config{Concurrency: n})
+	resp, out := postPlan(t, ts.URL, tinyRequest())
+	if resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+		t.Fatalf("seed request: status %d cache %q", resp.StatusCode, out.Cache)
+	}
+	var k plancache.Key
+	if _, err := fmt.Sscanf(out.Key, "%016x-%016x-%016x", &k.Graph, &k.Cluster, &k.Options); err != nil {
+		t.Fatalf("parse key %q: %v", out.Key, err)
+	}
+	e, ok := s.Cache().Get(k)
+	if !ok || e.Config == nil {
+		t.Fatal("seed plan not cached")
+	}
+	donor := e.Config
+
+	var wg sync.WaitGroup
+	kinds := make([]string, n)
+	keys := make([]uint64, n)
+	hashes := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			pr := tinyRequest()
+			pr.Cluster.Faults = &FaultsSpec{Dead: []int{i}}
+			body, err := json.Marshal(pr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out PlanResponse
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("warm request %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Errorf("warm request %d: %v", i, err)
+				return
+			}
+			kinds[i] = out.Cache
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			keys[i], hashes[i] = donor.Key(), donor.Hash()
+		}(i)
+	}
+	wg.Wait()
+
+	fresh := donor.Clone()
+	fresh.Invalidate()
+	for i := 0; i < n; i++ {
+		if kinds[i] != "warm" {
+			t.Errorf("request %d cache = %q, want warm", i, kinds[i])
+		}
+		if keys[i] != fresh.Key() || hashes[i] != fresh.Hash() {
+			t.Errorf("reader %d saw key %x hash %x, want %x %x", i, keys[i], hashes[i], fresh.Key(), fresh.Hash())
+		}
 	}
 }
